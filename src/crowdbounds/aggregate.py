@@ -23,7 +23,6 @@ from .core import (
     Prior,
     WorkerModel,
     argmax_labels,
-    posterior,
 )
 
 
@@ -101,7 +100,8 @@ def oracle_map_predict(labels: LabelMatrix, model: WorkerModel, prior: Prior,
                        tie_break: str = "lowest",
                        rng: np.random.Generator | None = None) -> np.ndarray:
     """Bayes-classifier predictions using the true model parameters."""
-    return argmax_labels(posterior(model, prior, labels), tie_break, rng)
+    return decomposable_predict(labels, DecomposableRule.oracle_map(model, prior),
+                                tie_break, rng)
 
 
 def oracle_map_weights_hds(accuracies, num_classes: int) -> np.ndarray:

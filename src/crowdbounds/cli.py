@@ -15,8 +15,10 @@ import sys
 import numpy as np
 
 from . import bounds as bnd
-from .core import DomainError, LabelSet, Prior, AssignmentModel, WorkerModel
+from .core import (AssignmentModel, DecomposableRule, DomainError, LabelSet,
+                   Prior, WorkerModel, error_rate)
 from .harness import (
+    METHODS,
     ExperimentConfig,
     load_labels,
     load_truth,
@@ -25,9 +27,7 @@ from .harness import (
     summarize_dataset,
     summarize_rows,
     write_results,
-    _run_method,
 )
-from .core import error_rate
 from .simulate import SimConfig, sample_workers_beta, simulate_dataset
 
 
@@ -40,23 +40,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_triples(path, labels, label_set: LabelSet):
+def _write_csv(path, header, *columns):
+    """Write a header row, then one row per position of the columns."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["worker", "item", "label"])
-        workers, items = np.nonzero(labels.mask)
-        external = label_set.to_external(labels.data)
-        for i, j in zip(workers, items):
-            writer.writerow([f"w{i}", f"i{j}", int(external[i, j])])
-
-
-def _write_truth(path, truth, label_set: LabelSet):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["item", "label"])
-        external = label_set.to_external(truth)
-        for j, label in enumerate(external):
-            writer.writerow([f"i{j}", int(label)])
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 def _cmd_simulate(args) -> int:
@@ -77,9 +66,14 @@ def _cmd_simulate(args) -> int:
                        WorkerModel.hds(accuracies, args.classes),
                        seed=args.seed)
     out = simulate_dataset(config)
-    _write_triples(args.out_labels, out.labels, label_set)
+    workers, items = np.nonzero(out.labels.mask)
+    _write_csv(args.out_labels, ["worker", "item", "label"],
+               [f"w{i}" for i in workers], [f"i{j}" for j in items],
+               label_set.to_external(out.labels.data[workers, items]).tolist())
     if args.out_truth:
-        _write_truth(args.out_truth, out.truth, label_set)
+        _write_csv(args.out_truth, ["item", "label"],
+                   [f"i{j}" for j in range(len(out.truth))],
+                   label_set.to_external(out.truth).tolist())
     print(json.dumps({"workers": args.workers, "items": args.items,
                       "labels": out.labels.num_labels,
                       "mean_accuracy": float(accuracies.mean())}))
@@ -89,20 +83,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_aggregate(args) -> int:
     label_set = LabelSet(args.classes, args.binary)
     labels, _, item_ids = load_labels(args.infile, args.format, label_set)
-    predictions, iterations = _run_method(args.method, labels, {}, None)
+    predictions, iterations = METHODS[args.method].run(labels, None, {})
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["item", "label"])
-            external = label_set.to_external(predictions)
-            for item, label in zip(item_ids, external):
-                writer.writerow([item, int(label)])
+        _write_csv(args.out, ["item", "label"], item_ids,
+                   label_set.to_external(predictions).tolist())
     summary = {"method": args.method, "items": len(item_ids)}
     if iterations is not None:
         summary["iterations"] = iterations
     if args.truth:
-        truth = load_truth(args.truth, label_set, item_ids)
+        truth, unlabeled = load_truth(args.truth, label_set, item_ids)
         summary["error_rate"] = error_rate(predictions, truth)
+        summary["truth_unlabeled"] = unlabeled
     print(json.dumps(summary))
     return 0
 
@@ -127,7 +118,6 @@ def _cmd_bounds(args) -> int:
             params["accuracies"], params["N"],
             rho_convention=params.get("rho_convention", "proof"))
     elif scenario == "general":
-        from .core import DecomposableRule
         rule = DecomposableRule(np.asarray(params["scores"], dtype=float),
                                 np.asarray(params["shifts"], dtype=float))
         assignment = AssignmentModel(params.get("assignment_kind", "constant"),
@@ -139,8 +129,10 @@ def _cmd_bounds(args) -> int:
         raise UsageError(f"unknown bounds scenario {scenario!r}")
     extra = {}
     if args.epsilon is not None and scenario in ("wmv-hds", "hyperplane", "general"):
+        if "N" not in params:
+            raise UsageError("--epsilon needs the item count 'N' in --params")
         extra = {"high_probability": bnd.high_probability_bound(
-            quantities, params.get("N", 1), args.epsilon).to_dict()}
+            quantities, params["N"], args.epsilon).to_dict()}
     print(json.dumps({**report.to_dict(), **extra}, indent=2))
     return 0
 
@@ -159,11 +151,13 @@ def _cmd_summarize(args) -> int:
     labels, _, item_ids = load_labels(args.infile, args.format, label_set)
     truth = None
     if args.truth:
-        truth = load_truth(args.truth, label_set, item_ids)
+        truth, unlabeled = load_truth(args.truth, label_set, item_ids)
     if args.subsample is not None:
         labels = subsample_labels(labels, args.subsample, seed=args.seed)
     summary = summarize_dataset(labels, truth).to_dict()
     summary.pop("labels_per_worker")
+    if args.truth:
+        summary["truth_unlabeled"] = unlabeled
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -193,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     agg = sub.add_parser("aggregate", help="aggregate a labels file")
     agg.add_argument("--method", required=True,
-                     choices=["mv", "iwmv", "iwmv-log", "oswmv",
-                              "em-gds", "em-hds"])
+                     choices=[name for name, method in METHODS.items()
+                              if not method.needs_model])
     agg.add_argument("--in", dest="infile", required=True)
     agg.add_argument("--truth", default=None)
     agg.add_argument("--classes", type=int, default=2)

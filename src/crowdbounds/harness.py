@@ -1,9 +1,10 @@
 """Data ingestion, experiment orchestration and result emission.
 
 Experiments are described by a JSON-serialisable config, run trial by trial
-with per-trial derived generators (so serial and pooled execution produce the
-same rows), and emitted as a CSV plus an equivalent JSON-lines file whose
-only nondeterministic content is a timestamp header line.
+with per-trial derived generators (so a row does not depend on which other
+cells ran before it), and emitted as a CSV plus an equivalent JSON-lines file
+whose only nondeterministic content is a timestamp header line. Every
+aggregation method is named once, in :data:`METHODS`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -45,13 +47,6 @@ from .simulate import (
     simulate_dataset,
 )
 
-RESULT_COLUMNS = ("scenario", "method", "sweep", "trial", "error_rate",
-                  "iterations", "seconds", "bound_upper", "bound_lower",
-                  "condition", "error")
-
-KNOWN_METHODS = ("mv", "wmv", "iwmv", "iwmv-log", "oswmv", "em-gds",
-                 "em-hds", "oracle-map")
-
 
 class ParseError(ValueError):
     """A CSV line could not be parsed; carries the 1-based line number."""
@@ -72,6 +67,39 @@ class DuplicateLabel(ValueError):
 
 class UnknownLabel(ValueError):
     """A label token is not a member of the declared label set."""
+
+
+def _read_labelled_rows(path, header: tuple, label_set: LabelSet):
+    """Yield the rows of a CSV whose first line is ``header`` and whose last
+    field is a label: the stripped key fields, then the internal label.
+
+    Blank rows are skipped; every other row must have one field per header
+    column and a label token that names one of the label set's classes.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None:
+            raise EmptyMatrix(f"{path} is empty")
+        if [cell.strip().lower() for cell in first] != list(header):
+            raise ParseError(1, f"expected header {','.join(header)!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(line_no, f"expected {len(header)} fields, "
+                                          f"got {len(row)}")
+            *keys, token = (cell.strip() for cell in row)
+            try:
+                raw_label = int(token)
+            except ValueError as exc:
+                raise ParseError(line_no, f"label {token!r} is not an integer") from exc
+            internal = int(label_set.to_internal(raw_label))
+            if not 1 <= internal <= label_set.num_classes:
+                raise UnknownLabel(
+                    f"line {line_no}: label {raw_label} is not one of the "
+                    f"{label_set.num_classes} classes")
+            yield (*keys, internal)
 
 
 def load_labels(path, fmt: str = "csv-triples",
@@ -106,76 +134,41 @@ def load_labels(path, fmt: str = "csv-triples",
 
     worker_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyMatrix(f"{path} is empty")
-        if [cell.strip().lower() for cell in header] != ["worker", "item", "label"]:
-            raise ParseError(1, "expected header 'worker,item,label'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
-            worker, item, token = (cell.strip() for cell in row)
-            try:
-                raw_label = int(token)
-            except ValueError as exc:
-                raise ParseError(line_no, f"label {token!r} is not an integer") from exc
-            internal = int(label_set.to_internal(raw_label))
-            if not 1 <= internal <= label_set.num_classes:
-                raise UnknownLabel(
-                    f"line {line_no}: label {raw_label} is not one of the "
-                    f"{label_set.num_classes} classes")
-            i = worker_index.setdefault(worker, len(worker_index))
-            j = item_index.setdefault(item, len(item_index))
-            if (i, j) in seen:
-                raise DuplicateLabel(worker, item)
-            seen.add((i, j))
-            triples.append((i, j, internal))
-    if not triples:
+    cells: dict[tuple[int, int], int] = {}
+    for worker, item, label in _read_labelled_rows(
+            path, ("worker", "item", "label"), label_set):
+        cell = (worker_index.setdefault(worker, len(worker_index)),
+                item_index.setdefault(item, len(item_index)))
+        if cell in cells:
+            raise DuplicateLabel(worker, item)
+        cells[cell] = label
+    if not cells:
         raise EmptyMatrix(f"{path} contains no labels")
     data = np.zeros((len(worker_index), len(item_index)), dtype=np.int64)
-    for i, j, label in triples:
-        data[i, j] = label
+    data[tuple(np.array(list(cells)).T)] = list(cells.values())
     return (LabelMatrix(data, label_set.num_classes),
             list(worker_index), list(item_index))
 
 
-def load_truth(path, label_set: LabelSet, item_ids: list[str]) -> np.ndarray:
-    """Read an ``item,label`` CSV and align it with the loaded item order."""
+def load_truth(path, label_set: LabelSet,
+               item_ids: list[str]) -> tuple[np.ndarray, int]:
+    """Read an ``item,label`` CSV and align it with the loaded item order.
+
+    Returns the true labels of ``item_ids`` and the number of truth rows
+    whose item is not among them (an item nobody labelled), which callers
+    report rather than drop silently.
+    """
     by_item: dict[str, int] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyMatrix(f"{path} is empty")
-        if [cell.strip().lower() for cell in header] != ["item", "label"]:
-            raise ParseError(1, "expected header 'item,label'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(line_no, f"expected 2 fields, got {len(row)}")
-            item, token = (cell.strip() for cell in row)
-            try:
-                raw_label = int(token)
-            except ValueError as exc:
-                raise ParseError(line_no, f"label {token!r} is not an integer") from exc
-            internal = int(label_set.to_internal(raw_label))
-            if not 1 <= internal <= label_set.num_classes:
-                raise UnknownLabel(f"line {line_no}: label {raw_label} is invalid")
-            if item in by_item:
-                raise DuplicateLabel("<truth>", item)
-            by_item[item] = internal
+    for item, label in _read_labelled_rows(path, ("item", "label"), label_set):
+        if item in by_item:
+            raise DuplicateLabel("<truth>", item)
+        by_item[item] = label
     missing = [item for item in item_ids if item not in by_item]
     if missing:
         raise DomainError(f"truth file lacks labels for {len(missing)} items "
                           f"(first: {missing[0]!r})")
-    return np.array([by_item[item] for item in item_ids], dtype=np.int64)
+    truth = np.array([by_item[item] for item in item_ids], dtype=np.int64)
+    return truth, len(by_item) - len(item_ids)
 
 
 def subsample_labels(labels: LabelMatrix, keep_prob: float,
@@ -199,16 +192,10 @@ class DatasetSummary:
     mean_worker_accuracy: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "num_classes": self.num_classes,
-            "num_workers": self.num_workers,
-            "num_items": self.num_items,
-            "num_labels": self.num_labels,
-            "density": self.density,
-            "labels_per_worker": self.labels_per_worker.tolist(),
-        }
-        if self.mean_worker_accuracy is not None:
-            out["mean_worker_accuracy"] = self.mean_worker_accuracy
+        out = asdict(self)
+        out["labels_per_worker"] = self.labels_per_worker.tolist()
+        if self.mean_worker_accuracy is None:
+            del out["mean_worker_accuracy"]
         return out
 
 
@@ -248,14 +235,107 @@ class ResultRow:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario, "method": self.method,
-            "sweep": self.sweep, "trial": self.trial,
-            "error_rate": self.error_rate, "iterations": self.iterations,
-            "seconds": self.seconds, "bound_upper": self.bound_upper,
-            "bound_lower": self.bound_lower, "condition": self.condition,
-            "error": self.error,
-        }
+        return asdict(self)
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+_SIM_DEFAULTS = {"M": 31, "N": 200, "L": 3, "q": 0.3, "beta_a": 2.3,
+                 "beta_b": 2.0, "wbar": None, "beta_tol": 0.01}
+_MISSPEC_DEFAULTS = {"M1": 15, "M2": 15, "N1": 300, "N2": 300,
+                     "block": [[0.9, 0.6], [0.5, 0.7]], "q": 0.3}
+_DATASET_KEYS = ("path", "format", "truth", "L", "binary")
+_CONFIG_KEYS = ("scenario", "methods", "trials", "sweep", "master_seed",
+                "output", "sim", "misspec", "dataset", "record_timing",
+                "fixed_iterations")
+
+
+def _reject_unknown_keys(where: str, raw: dict, allowed) -> None:
+    unknown = [key for key in raw if key not in allowed]
+    if unknown:
+        raise DomainError(f"unknown {where} keys: "
+                          f"{', '.join(map(repr, unknown))}")
+
+
+def _run_wmv(labels, accuracies, limits):
+    if accuracies is None:
+        raise DomainError("the oracle-weighted vote needs true accuracies")
+    weights = bound_optimal_weights(accuracies, labels.num_classes)
+    return weighted_majority_vote(labels, weights), None
+
+
+def _run_oracle_map(labels, accuracies, limits):
+    if accuracies is None:
+        raise DomainError("the oracle MAP rule needs the true model")
+    L = labels.num_classes
+    model = WorkerModel.hds(accuracies, L)
+    return oracle_map_predict(labels, model, Prior.uniform(L)), None
+
+
+def _run_iwmv(labels, accuracies, limits, weight_mode):
+    result = iwmv(labels, weight_mode=weight_mode, **limits)
+    return result.predictions, result.iterations
+
+
+def _run_em(labels, accuracies, limits, model_kind):
+    result = em_fit(labels, EmConfig(model_kind=model_kind, **limits))
+    return em_map_predict(result), result.iterations
+
+
+def _vote_bound(weight_map, labels, accuracies, q):
+    """Mean-error bound columns of weighted voting with the weights
+    ``weight_map(accuracies, L)``."""
+    L = labels.num_classes
+    quantities = bnd.quantities_wmv_hds(q, weight_map(accuracies, L),
+                                        accuracies, L)
+    report = bnd.mean_error_bounds(quantities, L)
+    return (report.values["upper"], report.values["lower"],
+            report.condition_holds["upper"])
+
+
+def _one_step_bound(labels, accuracies, q):
+    """The one-step WMV bound, which covers fully observed binary data only."""
+    if q != 1.0 or labels.num_classes != 2:
+        return None, None, None
+    report = bnd.one_step_wmv_bound(accuracies, labels.num_items)
+    return report.values["bound"], None, report.condition_holds["upper"]
+
+
+@dataclass(frozen=True)
+class Method:
+    """One aggregation method of the harness and the CLI.
+
+    ``run(labels, accuracies, limits)`` returns the predictions and the
+    iteration count (None for rules that do not iterate). ``accuracies``
+    are the workers' true single-accuracy-model parameters, or None where
+    they are unknown; the methods with ``needs_model`` fail without them.
+    ``limits`` holds keyword arguments for the iterative methods' stopping
+    rule (empty: their defaults). ``bound(labels, accuracies, q)``, where
+    present, gives the (upper, lower, condition) bound columns.
+    """
+
+    run: Callable
+    needs_model: bool = False
+    bound: Callable | None = None
+
+
+METHODS = {
+    "mv": Method(
+        lambda labels, accuracies, limits: (majority_vote(labels), None),
+        bound=partial(_vote_bound,
+                      lambda accuracies, L: np.ones(accuracies.size))),
+    "wmv": Method(_run_wmv, needs_model=True,
+                  bound=partial(_vote_bound, bound_optimal_weights)),
+    "iwmv": Method(partial(_run_iwmv, weight_mode="linear")),
+    "iwmv-log": Method(partial(_run_iwmv, weight_mode="log")),
+    "oswmv": Method(lambda labels, accuracies, limits: (one_step_wmv(labels), 1),
+                    bound=_one_step_bound),
+    "em-gds": Method(partial(_run_em, model_kind="gds")),
+    "em-hds": Method(partial(_run_em, model_kind="hds")),
+    "oracle-map": Method(_run_oracle_map, needs_model=True,
+                         bound=partial(_vote_bound, oracle_map_weights_hds)),
+}
+KNOWN_METHODS = tuple(METHODS)
 
 
 @dataclass(frozen=True)
@@ -279,8 +359,6 @@ class ExperimentConfig:
     dataset: dict = field(default_factory=dict)
     record_timing: bool = False
     fixed_iterations: int | None = None
-    max_workers: int = 1
-    record_bounds: bool = True
 
     def __post_init__(self):
         if self.scenario not in ("hds-sweep", "misspecified", "dataset"):
@@ -289,17 +367,22 @@ class ExperimentConfig:
             raise DomainError("at least one trial is required")
         if not self.methods:
             raise DomainError("at least one method is required")
-        unknown = [m for m in self.methods if m not in KNOWN_METHODS]
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise DomainError(f"unknown methods: {unknown}")
         if not self.sweep_grid:
             raise DomainError("the sweep grid must not be empty")
         if self.sweep_variable not in ("wbar", "M", "N", "q", "s", "none"):
             raise DomainError(f"unknown sweep variable {self.sweep_variable!r}")
+        _reject_unknown_keys("sim", self.sim, _SIM_DEFAULTS)
+        _reject_unknown_keys("misspec", self.misspec, _MISSPEC_DEFAULTS)
+        _reject_unknown_keys("dataset", self.dataset, _DATASET_KEYS)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _reject_unknown_keys("config", raw, _CONFIG_KEYS)
         sweep = raw.get("sweep", {"variable": "none", "grid": [0.0]})
+        _reject_unknown_keys("sweep", sweep, ("variable", "grid"))
         return cls(
             scenario=raw["scenario"],
             methods=tuple(raw["methods"]),
@@ -313,8 +396,6 @@ class ExperimentConfig:
             dataset=dict(raw.get("dataset", {})),
             record_timing=bool(raw.get("record_timing", False)),
             fixed_iterations=raw.get("fixed_iterations"),
-            max_workers=int(raw.get("max_workers", 1)),
-            record_bounds=bool(raw.get("record_bounds", True)),
         )
 
     @classmethod
@@ -323,15 +404,9 @@ class ExperimentConfig:
             return cls.from_dict(json.load(handle))
 
 
-_SIM_DEFAULTS = {"M": 31, "N": 200, "L": 3, "q": 0.3, "beta_a": 2.3,
-                 "beta_b": 2.0, "wbar": None, "beta_tol": 0.01}
-_MISSPEC_DEFAULTS = {"M1": 15, "M2": 15, "N1": 300, "N2": 300,
-                     "block": [[0.9, 0.6], [0.5, 0.7]], "q": 0.3}
-
-
-def _hds_trial_data(config: ExperimentConfig, sweep_index: int, sweep_value,
-                    trial: int):
-    """Simulate one single-accuracy-model trial of an hds-sweep scenario."""
+def _hds_trial_data(config: ExperimentConfig, sweep_value, seed: int):
+    """Simulate one trial of an hds-sweep scenario: labels, truth, the true
+    accuracies and the label probability q."""
     sim = {**_SIM_DEFAULTS, **config.sim}
     var = config.sweep_variable
     if var in ("M", "N"):
@@ -347,123 +422,61 @@ def _hds_trial_data(config: ExperimentConfig, sweep_index: int, sweep_value,
     else:
         a = float(sim["beta_a"])
         target = a / (a + float(sim["beta_b"]))
-    seed = int(derive_rng(config.master_seed, "trial-seed", sweep_index, trial)
-               .integers(0, 2 ** 62))
     accuracies = sample_workers_beta(M, a, float(sim["beta_b"]), target,
                                      tol=float(sim["beta_tol"]), seed=seed)
     model = WorkerModel.hds(accuracies, L)
     sim_config = SimConfig(M, N, L, Prior.uniform(L),
                            AssignmentModel.constant(q), model, seed=seed)
     out = simulate_dataset(sim_config)
-    return out.labels, out.truth, {"accuracies": accuracies, "q": q, "L": L}
+    return out.labels, out.truth, accuracies, q
 
 
-def _misspec_trial_data(config: ExperimentConfig, trial: int):
+def _misspec_trial_data(config: ExperimentConfig, seed: int):
     spec = {**_MISSPEC_DEFAULTS, **config.misspec}
-    seed = int(derive_rng(config.master_seed, "trial-seed", 0, trial)
-               .integers(0, 2 ** 62))
     out = make_misspecified_dataset(int(spec["M1"]), int(spec["M2"]),
                                     int(spec["N1"]), int(spec["N2"]),
                                     spec["block"], float(spec["q"]), seed=seed)
-    return out.labels, out.truth, {}
-
-
-def _run_method(method: str, labels: LabelMatrix, context: dict,
-                fixed_iterations: int | None):
-    """Return (predictions, iterations) for one method on one dataset."""
-    if method == "mv":
-        return majority_vote(labels), None
-    if method == "oswmv":
-        return one_step_wmv(labels), 1
-    if method in ("iwmv", "iwmv-log"):
-        mode = "linear" if method == "iwmv" else "log"
-        if fixed_iterations is not None:
-            result = iwmv(labels, max_iters=fixed_iterations, weight_mode=mode,
-                          stop_on_convergence=False)
-        else:
-            result = iwmv(labels, weight_mode=mode)
-        return result.predictions, result.iterations
-    if method in ("em-gds", "em-hds"):
-        kind = method.split("-")[1]
-        if fixed_iterations is not None:
-            em_config = EmConfig(model_kind=kind, max_iters=fixed_iterations,
-                                 stop_on_convergence=False)
-        else:
-            em_config = EmConfig(model_kind=kind)
-        result = em_fit(labels, em_config)
-        return em_map_predict(result), result.iterations
-    if method == "wmv":
-        accuracies = context.get("accuracies")
-        if accuracies is None:
-            raise DomainError("the oracle-weighted vote needs true accuracies")
-        weights = bound_optimal_weights(accuracies, labels.num_classes)
-        return weighted_majority_vote(labels, weights), None
-    if method == "oracle-map":
-        accuracies = context.get("accuracies")
-        if accuracies is None:
-            raise DomainError("the oracle MAP rule needs the true model")
-        L = labels.num_classes
-        model = WorkerModel.hds(accuracies, L)
-        return oracle_map_predict(labels, model, Prior.uniform(L)), None
-    raise DomainError(f"unknown method {method!r}")
-
-
-def _method_bound(method: str, labels: LabelMatrix, context: dict):
-    """Mean-error bound columns for methods with closed-form quantities."""
-    accuracies = context.get("accuracies")
-    if accuracies is None:
-        return None, None, None
-    L = labels.num_classes
-    q = context.get("q", 1.0)
-    if method == "oracle-map":
-        weights = oracle_map_weights_hds(accuracies, L)
-    elif method == "wmv":
-        weights = bound_optimal_weights(accuracies, L)
-    elif method == "mv":
-        weights = np.ones(labels.num_workers)
-    elif method == "oswmv" and q == 1.0 and L == 2:
-        report = bnd.one_step_wmv_bound(accuracies, labels.num_items)
-        return (report.values["bound"], None,
-                report.condition_holds["upper"])
-    else:
-        return None, None, None
-    quantities = bnd.quantities_wmv_hds(q, weights, accuracies, L)
-    report = bnd.mean_error_bounds(quantities, L)
-    return (report.values["upper"], report.values["lower"],
-            report.condition_holds["upper"])
+    return out.labels, out.truth, None, None
 
 
 def _run_trial(config: ExperimentConfig, sweep_index: int, sweep_value,
-               trial: int) -> list[ResultRow]:
+               trial: int, dataset) -> list[ResultRow]:
+    """Rows of one trial; ``dataset`` is the loaded (labels, truth) of the
+    dataset scenario and None otherwise."""
+    # The misspecified scenario ignores the sweep: each trial has one dataset.
+    sweep_key = 0 if config.scenario == "misspecified" else sweep_index
+    seed = int(derive_rng(config.master_seed, "trial-seed", sweep_key, trial)
+               .integers(0, 2 ** 62))
     if config.scenario == "hds-sweep":
-        labels, truth, context = _hds_trial_data(config, sweep_index,
-                                                 sweep_value, trial)
+        labels, truth, accuracies, q = _hds_trial_data(config, sweep_value, seed)
     elif config.scenario == "misspecified":
-        labels, truth, context = _misspec_trial_data(config, trial)
+        labels, truth, accuracies, q = _misspec_trial_data(config, seed)
     else:
-        labels, truth, context = config.dataset["_labels"], \
-            config.dataset.get("_truth"), {}
-        seed = int(derive_rng(config.master_seed, "trial-seed", sweep_index,
-                              trial).integers(0, 2 ** 62))
+        labels, truth = dataset
+        accuracies = q = None
         labels = subsample_labels(labels, float(sweep_value), seed=seed)
+    limits = {}
+    if config.fixed_iterations is not None:
+        limits = {"max_iters": config.fixed_iterations,
+                  "stop_on_convergence": False}
     rows = []
-    for method in config.methods:
+    for name in config.methods:
+        method = METHODS[name]
         started = time.perf_counter()
         try:
-            predictions, iterations = _run_method(
-                method, labels, context, config.fixed_iterations)
+            predictions, iterations = method.run(labels, accuracies, limits)
             elapsed = time.perf_counter() - started
             rate = error_rate(predictions, truth) if truth is not None else None
             upper = lower = condition = None
-            if config.record_bounds and config.scenario == "hds-sweep":
-                upper, lower, condition = _method_bound(method, labels, context)
+            if method.bound is not None and accuracies is not None:
+                upper, lower, condition = method.bound(labels, accuracies, q)
             rows.append(ResultRow(
-                config.scenario, method, float(sweep_value), trial, rate,
+                config.scenario, name, float(sweep_value), trial, rate,
                 iterations, elapsed if config.record_timing else None,
                 upper, lower, condition))
         except Exception as exc:  # keep the sweep alive; report per row
             rows.append(ResultRow(
-                config.scenario, method, float(sweep_value), trial, None,
+                config.scenario, name, float(sweep_value), trial, None,
                 None, None, None, None, None, error=str(exc)))
     return rows
 
@@ -471,36 +484,25 @@ def _run_trial(config: ExperimentConfig, sweep_index: int, sweep_value,
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run every (sweep value, trial, method) cell and emit result files.
 
+    Rows come in grid order, then trial, then the config's method order.
     Each trial derives its own generator from (master seed, sweep, trial),
-    so the row content does not depend on execution order; rows are sorted
-    before emission.
+    so a row's content does not depend on the cells run before it.
     """
-    if config.scenario == "dataset" and "_labels" not in config.dataset:
-        label_set = LabelSet(int(config.dataset.get("L", 2)),
-                             bool(config.dataset.get("binary", False)))
-        labels, _, item_ids = load_labels(config.dataset["path"],
-                                          config.dataset.get("format", "csv-triples"),
-                                          label_set)
+    dataset = None
+    if config.scenario == "dataset":
+        spec = config.dataset
+        label_set = LabelSet(int(spec.get("L", 2)), bool(spec.get("binary", False)))
+        labels, _, item_ids = load_labels(
+            spec["path"], spec.get("format", "csv-triples"), label_set)
         truth = None
-        if config.dataset.get("truth"):
-            truth = load_truth(config.dataset["truth"], label_set, item_ids)
-        config.dataset["_labels"] = labels
-        config.dataset["_truth"] = truth
-
-    tasks = [(si, sv, t)
-             for si, sv in enumerate(config.sweep_grid)
-             for t in range(config.trials)]
-    if config.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-            chunks = list(pool.map(
-                lambda args: _run_trial(config, *args), tasks))
-    else:
-        chunks = [_run_trial(config, *task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-    method_order = {m: i for i, m in enumerate(config.methods)}
-    grid_order = {float(v): i for i, v in enumerate(config.sweep_grid)}
-    rows.sort(key=lambda r: (grid_order[r.sweep], r.trial,
-                             method_order[r.method]))
+        if spec.get("truth"):
+            truth, _ = load_truth(spec["truth"], label_set, item_ids)
+        dataset = labels, truth
+    rows = [row
+            for sweep_index, sweep_value in enumerate(config.sweep_grid)
+            for trial in range(config.trials)
+            for row in _run_trial(config, sweep_index, sweep_value, trial,
+                                  dataset)]
     if config.output:
         write_results(rows, config.output)
     return rows
@@ -530,8 +532,8 @@ def write_results(rows: list[ResultRow], stem: str) -> tuple[str, str]:
         writer = csv.writer(handle)
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
-            record = row.to_dict()
-            writer.writerow([_format_cell(record[col]) for col in RESULT_COLUMNS])
+            writer.writerow([_format_cell(value)
+                             for value in row.to_dict().values()])
     with open(jsonl_path, "w") as handle:
         handle.write(json.dumps({"_meta": {"generated_at": stamp}}) + "\n")
         for row in rows:

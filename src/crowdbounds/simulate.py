@@ -22,8 +22,9 @@ from .core import (
 )
 
 
-class RejectionBudgetExceeded(RuntimeError):
-    """The conditioned sampler gave up after the configured number of batches."""
+class RejectionBudgetExceeded(DomainError):
+    """The conditioned sampler gave up after the configured number of batches,
+    most often because the target mean is out of reach of Beta(a, b)."""
 
 
 def derive_rng(master_seed: int, *tags) -> np.random.Generator:

@@ -4,8 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from crowdbounds.core import DomainError, EmptyMatrix, LabelSet
+from crowdbounds.core import DomainError, EmptyMatrix, LabelMatrix, LabelSet
 from crowdbounds.harness import (
+    KNOWN_METHODS,
+    METHODS,
     DuplicateLabel,
     ExperimentConfig,
     ParseError,
@@ -125,8 +127,9 @@ class TestTruthAndSubsample:
         write_triples(labels_path, [("a", "x", 1), ("a", "y", 2)])
         truth_path.write_text("item,label\ny,2\nx,1\n")
         labels, _, items = load_labels(labels_path, label_set=LabelSet(2))
-        truth = load_truth(truth_path, LabelSet(2), items)
+        truth, unlabeled = load_truth(truth_path, LabelSet(2), items)
         assert truth.tolist() == [1, 2]
+        assert unlabeled == 0
 
     def test_missing_truth_item(self, tmp_path):
         labels_path = tmp_path / "labels.csv"
@@ -222,11 +225,6 @@ class TestRunExperiment:
             second = (tmp_path / f"run2{suffix}").read_text().splitlines()
             assert first[1:] == second[1:]  # everything after the stamp line
 
-    def test_parallel_equals_serial(self):
-        serial = run_experiment(small_sweep_config())
-        pooled = run_experiment(small_sweep_config(max_workers=4))
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
-
     def test_bound_column_present_for_oracle_map(self):
         rows = run_experiment(small_sweep_config(methods=("oracle-map",)))
         assert all(r.bound_upper is not None and r.condition for r in rows)
@@ -294,6 +292,43 @@ class TestRunExperiment:
             small_sweep_config(methods=("nope",))
         with pytest.raises(DomainError):
             small_sweep_config(sweep_grid=())
+
+    def test_method_table_order(self):
+        # The sweep's row order follows this order.
+        assert KNOWN_METHODS == ("mv", "wmv", "iwmv", "iwmv-log", "oswmv",
+                                 "em-gds", "em-hds", "oracle-map")
+        assert [m for m in KNOWN_METHODS if METHODS[m].needs_model] == [
+            "wmv", "oracle-map"]
+
+    def test_only_methods_that_need_the_model_fail_without_it(self):
+        labels = LabelMatrix(np.array([[1, 2, 1], [1, 2, 2], [2, 2, 1]]), 2)
+        for name, method in METHODS.items():
+            if method.needs_model:
+                with pytest.raises(DomainError, match="true"):
+                    method.run(labels, None, {})
+            else:
+                predictions, _ = method.run(labels, None, {})
+                assert predictions.shape == (3,)
+
+    def test_config_rejects_unknown_keys(self, tmp_path):
+        raw = {"scenario": "hds-sweep", "methods": ["mv"], "trials": 1,
+               "sweep": {"variable": "wbar", "grid": [0.7]},
+               "sim": {"M": 5, "N": 20, "L": 2, "q": 0.5}}
+        for path, key in ((), "trails"), ((), "max_workers"), \
+                ((), "record_bounds"), (("sweep",), "grdi"), \
+                (("sim",), "wbar_target"), (("dataset",), "_labels"):
+            bad = json.loads(json.dumps(raw))
+            target = bad
+            for part in path:
+                target = target.setdefault(part, {})
+            target[key] = 5
+            with pytest.raises(DomainError, match=repr(key)):
+                ExperimentConfig.from_dict(bad)
+        with pytest.raises(DomainError, match="'beta'"):
+            small_sweep_config(misspec={"beta": 1})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**raw, "trails": 5}))
+        assert main(["experiment", "--config", str(config)]) == 1
 
     def test_config_json_round_trip(self, tmp_path):
         raw = {"scenario": "hds-sweep", "methods": ["mv"], "trials": 1,
@@ -384,4 +419,36 @@ class TestCli:
     def test_validation_exit_codes(self, tmp_path):
         assert main(["summarize", "--in", str(tmp_path / "missing.csv")]) == 1
         assert main(["aggregate", "--method", "nope", "--in", "x"]) == 1
+        assert main(["aggregate", "--method", "oracle-map", "--in", "x"]) == 1
         assert main(["bounds", "--scenario", "mv-hds", "--params", "{bad"]) == 1
+
+    def test_truth_rows_without_labels_are_counted(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        truth = tmp_path / "truth.csv"
+        write_triples(labels, [("a", "x", 1), ("b", "x", 1)])
+        truth.write_text("item,label\nx,1\ny,2\n")
+        common = ["--in", str(labels), "--truth", str(truth)]
+        assert main(["aggregate", "--method", "mv", *common]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["truth_unlabeled"] == 1
+        assert payload["items"] == 1 and payload["error_rate"] == 0.0
+        assert main(["summarize", *common]) == 0
+        assert json.loads(capsys.readouterr().out)["truth_unlabeled"] == 1
+
+    def test_infeasible_target_mean_exits_1(self, tmp_path, capsys):
+        rc = main(["simulate", "--workers", "3", "--items", "5",
+                   "--beta-a", "1", "--beta-b", "1", "--target-mean", "0.99",
+                   "--tol", "1e-9", "--out-labels", str(tmp_path / "l.csv")])
+        assert rc == 1
+        assert "batches" in capsys.readouterr().err
+        assert not (tmp_path / "l.csv").exists()
+
+    def test_bounds_epsilon_requires_item_count(self, capsys):
+        params = {"q": 1.0, "weights": [1, 1], "accuracies": [0.8, 0.6],
+                  "L": 2}
+        argv = ["bounds", "--scenario", "wmv-hds", "--epsilon", "0.1"]
+        assert main([*argv, "--params", json.dumps(params)]) == 1
+        assert "'N'" in capsys.readouterr().err
+        assert main([*argv, "--params", json.dumps({**params, "N": 50})]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["high_probability"]["inputs"]["num_items"] == 50
