@@ -33,22 +33,16 @@ class WeightLengthMismatch(ValueError):
 def _aggregate_scores(labels: LabelMatrix, rule: DecomposableRule) -> np.ndarray:
     """Per-item, per-class aggregated scores for a decomposable rule.
 
-    Zero slices of the score table are skipped: adding an exactly-zero matrix
-    never changes a float, so the shortcut cannot perturb tie patterns.
+    The missing-label column ``h = 0`` is left out: it holds one rule-wide
+    constant, which shifts every class of an item alike and so cannot
+    change a prediction.
     """
     if rule.num_workers != labels.num_workers:
         raise DimensionMismatch("rule and label matrix worker counts differ")
     if rule.num_classes != labels.num_classes:
         raise DimensionMismatch("rule and label matrix class counts differ")
-    scores = np.zeros((labels.num_items, labels.num_classes))
-    for h in range(labels.num_classes + 1):
-        table_slice = rule.scores[:, :, h]
-        if not table_slice.any():
-            continue
-        votes = labels.data == h
-        scores += votes.T @ table_slice
-    scores += rule.shifts
-    return scores
+    return labels.item_scores(rule.scores[:, :, 1:].transpose(0, 2, 1),
+                              rule.shifts)
 
 
 def decomposable_predict(labels: LabelMatrix, rule: DecomposableRule,
@@ -134,11 +128,12 @@ def _agreement_accuracies(labels: LabelMatrix, predictions: np.ndarray) -> np.nd
     A worker with no labels is scored 1/L, which maps to zero weight under
     both weighting schemes.
     """
-    agree = (labels.data == predictions[None, :]) & labels.mask
+    one_hot = predictions[:, None] == np.arange(1, labels.num_classes + 1)
+    agree = labels.agreement(one_hot)
     counts = labels.labels_per_worker()
     out = np.full(labels.num_workers, 1.0 / labels.num_classes)
     has_labels = counts > 0
-    out[has_labels] = agree.sum(axis=1)[has_labels] / counts[has_labels]
+    out[has_labels] = agree[has_labels] / counts[has_labels]
     return out
 
 

@@ -66,10 +66,10 @@ def _cmd_simulate(args) -> int:
                        WorkerModel.hds(accuracies, args.classes),
                        seed=args.seed)
     out = simulate_dataset(config)
-    workers, items = np.nonzero(out.labels.mask)
+    labels = out.labels
     _write_csv(args.out_labels, ["worker", "item", "label"],
-               [f"w{i}" for i in workers], [f"i{j}" for j in items],
-               label_set.to_external(out.labels.data[workers, items]).tolist())
+               [f"w{i}" for i in labels.workers], [f"i{j}" for j in labels.items],
+               label_set.to_external(labels.labels).tolist())
     if args.out_truth:
         _write_csv(args.out_truth, ["item", "label"],
                    [f"i{j}" for j in range(len(out.truth))],
@@ -128,7 +128,10 @@ def _cmd_bounds(args) -> int:
     else:
         raise UsageError(f"unknown bounds scenario {scenario!r}")
     extra = {}
-    if args.epsilon is not None and scenario in ("wmv-hds", "hyperplane", "general"):
+    if args.epsilon is not None:
+        if scenario in ("mv-hds", "oswmv"):
+            raise UsageError(f"--epsilon is not available for the {scenario!r} "
+                             f"scenario")
         if "N" not in params:
             raise UsageError("--epsilon needs the item count 'N' in --params")
         extra = {"high_probability": bnd.high_probability_bound(

@@ -1,6 +1,7 @@
 """Domain types shared by the aggregation rules, the simulator and the EM fitter.
 
-Labels live internally on ``{1, ..., L}`` with ``0`` marking a missing entry.
+Labels live internally on ``{1, ..., L}``; dense grids mark a missing entry
+with ``0``.
 Binary problems use the common external convention ``{+1, -1}``; the mapping
 ``+1 -> 1`` and ``-1 -> 2`` is applied only at I/O boundaries and inside the
 hyperplane rule, so every aggregation rule is written once against the
@@ -9,7 +10,8 @@ internal coding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,46 +97,157 @@ class LabelSet:
 
 @dataclass(frozen=True)
 class LabelMatrix:
-    """Observed worker-by-item labels with 0 for missing entries.
+    """Observed labels of a worker-by-item grid, stored as triples.
 
-    ``mask`` is derived on construction: ``mask[i, j]`` is True exactly when
-    worker ``i`` labelled item ``j``.
+    Triple ``t`` says that worker ``workers[t]`` gave item ``items[t]`` the
+    label ``labels[t]`` (0-based positions, labels in ``{1, ..., L}``);
+    unobserved cells are simply absent, so memory and every accumulation
+    scale with the number of labels, not with workers x items. The triples
+    are kept in worker-major, item-ascending order (the order ``np.nonzero``
+    gives on the grid), so each item's labels are summed in increasing
+    worker order.
     """
 
-    data: np.ndarray
+    workers: np.ndarray
+    items: np.ndarray
+    labels: np.ndarray
+    num_workers: int
+    num_items: int
     num_classes: int
-    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.int64)
-        if data.ndim != 2:
-            raise DomainError("label grid must be two-dimensional")
-        if data.size == 0:
+        M, N, L = self.num_workers, self.num_items, self.num_classes
+        if M < 1 or N < 1:
             raise EmptyMatrix("label grid has no cells")
-        if self.num_classes < 2:
+        if L < 2:
             raise DomainError("at least two classes are required")
-        if data.min() < 0 or data.max() > self.num_classes:
-            raise DomainError("entries must lie in {0, ..., num_classes}")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "mask", data != 0)
+        triples = []
+        for name in ("workers", "items", "labels"):
+            arr = np.asarray(getattr(self, name))
+            if arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer)):
+                raise DomainError(f"{name} must be a vector of integers")
+            triples.append(arr.astype(np.int64, copy=False))
+        workers, items, labels = triples
+        if not workers.size == items.size == labels.size:
+            raise LengthMismatch("worker, item and label vectors differ in length")
+        if workers.size:
+            if workers.min() < 0 or workers.max() >= M:
+                raise DomainError("worker positions must lie in [0, num_workers)")
+            if items.min() < 0 or items.max() >= N:
+                raise DomainError("item positions must lie in [0, num_items)")
+            if labels.min() < 1 or labels.max() > L:
+                raise DomainError("labels must lie in {1, ..., num_classes}")
+        cells = workers * N + items
+        if np.any(cells[1:] <= cells[:-1]):
+            order = np.argsort(cells, kind="stable")
+            workers, items, labels = workers[order], items[order], labels[order]
+            repeated = np.flatnonzero(np.diff(cells[order]) == 0)
+            if repeated.size:
+                t = repeated[0]
+                raise DomainError(f"duplicate label at worker {workers[t] + 1}, "
+                                  f"item {items[t] + 1}")
+        object.__setattr__(self, "workers", workers)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "labels", labels)
 
-    @property
-    def num_workers(self) -> int:
-        return self.data.shape[0]
+    @classmethod
+    def from_dense(cls, grid, num_classes: int) -> "LabelMatrix":
+        """Triples of a worker-by-item grid with 0 marking a missing label."""
+        grid = np.asarray(grid, dtype=np.int64)
+        if grid.ndim != 2:
+            raise DomainError("label grid must be two-dimensional")
+        if grid.size == 0:
+            raise EmptyMatrix("label grid has no cells")
+        workers, items = np.nonzero(grid)
+        return cls(workers, items, grid[workers, items], *grid.shape, num_classes)
 
-    @property
-    def num_items(self) -> int:
-        return self.data.shape[1]
+    def dense(self) -> np.ndarray:
+        """The worker-by-item grid with 0 for missing labels (small inputs)."""
+        grid = np.zeros((self.num_workers, self.num_items), dtype=np.int64)
+        grid[self.workers, self.items] = self.labels
+        return grid
 
     @property
     def num_labels(self) -> int:
-        return int(self.mask.sum())
+        return self.labels.size
 
     def labels_per_worker(self) -> np.ndarray:
-        return self.mask.sum(axis=1)
+        return np.bincount(self.workers, minlength=self.num_workers)
 
     def labels_per_item(self) -> np.ndarray:
-        return self.mask.sum(axis=0)
+        return np.bincount(self.items, minlength=self.num_items)
+
+    # The accumulations below all run through _gather_sum, on bincount keys
+    # built once per matrix: each fit on it reuses them every iteration.
+
+    @cached_property
+    def _label_rows(self) -> np.ndarray:
+        """Row ``worker * L + label - 1`` of an (M * L, L) per-label table."""
+        return self.workers * self.num_classes + self.labels - 1
+
+    @cached_property
+    def _item_keys(self) -> np.ndarray:
+        L = self.num_classes
+        return (self.items[:, None] * L + np.arange(L)).ravel()
+
+    @cached_property
+    def _worker_keys(self) -> np.ndarray:
+        L = self.num_classes
+        return (self._label_rows[:, None] * L + np.arange(L)).ravel()
+
+    @cached_property
+    def _item_cells(self) -> np.ndarray:
+        """Entry ``item * L + label - 1`` of a flattened (N, L) item table."""
+        return self.items * self.num_classes + self.labels - 1
+
+    def item_scores(self, label_scores, shifts) -> np.ndarray:
+        """Per-item class scores of a decomposable rule, shape (N, L).
+
+        ``scores[j, k] = shifts[k] + sum of label_scores[i, h - 1, k]`` over
+        the labels ``h`` that workers ``i`` gave item ``j``. An item nobody
+        labelled scores ``shifts``.
+        """
+        M, N, L = self.num_workers, self.num_items, self.num_classes
+        label_scores = np.asarray(label_scores, dtype=float)
+        if label_scores.shape != (M, L, L):
+            raise DimensionMismatch("per-label scores must have shape (M, L, L)")
+        scores = _gather_sum(label_scores.reshape(M * L, L), self._label_rows,
+                             self._item_keys, N * L).reshape(N, L)
+        scores += shifts
+        return scores
+
+    def worker_sums(self, item_rows) -> np.ndarray:
+        """Per-worker, per-given-label sums of item rows, shape (M, L, L).
+
+        ``sums[i, h - 1, k]`` adds ``item_rows[j, k]`` over the items ``j``
+        that worker ``i`` labelled ``h``.
+        """
+        M, L = self.num_workers, self.num_classes
+        return _gather_sum(np.asarray(item_rows, dtype=float), self.items,
+                           self._worker_keys, M * L * L).reshape(M, L, L)
+
+    def agreement(self, item_rows) -> np.ndarray:
+        """Per-worker sums of ``item_rows[j, h - 1]`` over the worker's labels.
+
+        With one-hot rows this counts the labels that agree with a reference
+        labelling; with posterior rows it is the expected number of correct
+        labels.
+        """
+        flat = np.asarray(item_rows, dtype=float).reshape(-1, 1)
+        return _gather_sum(flat, self._item_cells, self.workers,
+                           self.num_workers)
+
+
+def _gather_sum(table: np.ndarray, rows: np.ndarray, keys: np.ndarray,
+                size: int) -> np.ndarray:
+    """The label kernel: ``out[keys[t * w + k]] += table[rows[t], k]``.
+
+    ``table`` has ``w`` columns; the gathered rows are summed by a single
+    bincount, which adds the contributions to each key in triple order.
+    """
+    out = np.bincount(keys, weights=table.take(rows, axis=0).ravel(),
+                      minlength=size)
+    return out.astype(float, copy=False)  # bincount of no labels gives ints
 
 
 def validate_label_matrix(raw, label_set: LabelSet) -> LabelMatrix:
@@ -161,7 +274,7 @@ def validate_label_matrix(raw, label_set: LabelSet) -> LabelMatrix:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise OutOfRangeLabel(int(i) + 1, int(j) + 1, arr[i, j])
-    return LabelMatrix(internal, label_set.num_classes)
+    return LabelMatrix.from_dense(internal, label_set.num_classes)
 
 
 @dataclass(frozen=True)
@@ -407,11 +520,23 @@ def normalize_log_posteriors(log_scores: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=1, keepdims=True)
 
 
+def map_scores(labels: LabelMatrix, tables, prior_probs) -> np.ndarray:
+    """Unnormalised log posteriors of every item, shape (N, L).
+
+    These are the oracle-MAP scores: the log prior plus the log
+    confusion-table entry ``tables[i, k, h - 1]`` of every observed label,
+    with entries floored at ``LOG_FLOOR``.
+    """
+    log_tables = np.log(np.clip(tables, LOG_FLOOR, None))
+    return labels.item_scores(log_tables.transpose(0, 2, 1),
+                              np.log(np.clip(prior_probs, LOG_FLOOR, None)))
+
+
 def posterior(model: WorkerModel, prior: Prior, labels: LabelMatrix) -> np.ndarray:
     """True-label posterior of every item given the worker model and prior.
 
     Row ``j`` is proportional to the prior times the product of the
-    confusion-table entries of every observed label in column ``j``;
+    confusion-table entries of every observed label of item ``j``;
     the computation runs in the log domain.
     """
     if model.num_workers != labels.num_workers:
@@ -420,13 +545,8 @@ def posterior(model: WorkerModel, prior: Prior, labels: LabelMatrix) -> np.ndarr
         raise DimensionMismatch("worker model and label matrix class counts differ")
     if prior.num_classes != labels.num_classes:
         raise DimensionMismatch("prior and label matrix class counts differ")
-    log_tables = np.log(np.clip(model.as_gds(), LOG_FLOOR, None))
-    log_rho = np.tile(np.log(np.clip(prior.probs, LOG_FLOOR, None)),
-                      (labels.num_items, 1))
-    for h in range(1, labels.num_classes + 1):
-        votes = labels.data == h
-        log_rho += votes.T @ log_tables[:, :, h - 1]
-    return normalize_log_posteriors(log_rho)
+    return normalize_log_posteriors(
+        map_scores(labels, model.as_gds(), prior.probs))
 
 
 def error_rate(predicted, truth) -> float:

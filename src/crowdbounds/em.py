@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LOG_FLOOR,
     DimensionMismatch,
     DomainError,
     LabelMatrix,
     Prior,
     WorkerModel,
     argmax_labels,
-    normalize_log_posteriors,
+    map_scores,
 )
 from .aggregate import majority_vote
 
@@ -90,9 +89,8 @@ def em_fit(labels: LabelMatrix, config: EmConfig = EmConfig()) -> EmResult:
     below ``config.tolerance``; running out of iterations is reported via
     the ``converged`` flag, never as an error.
     """
-    M, N, L = labels.num_workers, labels.num_items, labels.num_classes
-    votes = [labels.data == h for h in range(1, L + 1)]
-    per_worker = labels.labels_per_worker().astype(float)
+    M, L = labels.num_workers, labels.num_classes
+    per_worker = labels.labels_per_worker()
     rho = _initial_posteriors(labels, config)
 
     trace: list[float] = []
@@ -105,28 +103,24 @@ def em_fit(labels: LabelMatrix, config: EmConfig = EmConfig()) -> EmResult:
         # M-step
         prior_hat = rho.mean(axis=0)
         if config.model_kind == "gds":
-            counts = np.stack([vote @ rho for vote in votes], axis=2)  # (M, L, L)
-            denom = labels.mask.astype(float) @ rho  # (M, L)
+            counts = labels.worker_sums(rho).transpose(0, 2, 1)  # (M, L, L)
+            denom = counts.sum(axis=2)  # (M, L)
             tables = np.full((M, L, L), 1.0 / L)
             seen = denom > 0
             tables[seen] = counts[seen] / denom[seen][:, None]
         else:
-            agree = np.zeros(M)
-            for k, vote in enumerate(votes):
-                agree += vote @ rho[:, k]
+            agree = labels.agreement(rho)
             accuracies = np.full(M, 1.0 / L)
             seen = per_worker > 0
             accuracies[seen] = agree[seen] / per_worker[seen]
             tables = WorkerModel.hds(accuracies, L).as_gds()
         # E-step
-        log_tables = np.log(np.clip(tables, LOG_FLOOR, None))
-        log_rho = np.tile(np.log(np.clip(prior_hat, LOG_FLOOR, None)), (N, 1))
-        for h, vote in enumerate(votes):
-            log_rho += vote.T @ log_tables[:, :, h]
+        log_rho = map_scores(labels, tables, prior_hat)
         peak = log_rho.max(axis=1)
-        log_likelihood = float(
-            (peak + np.log(np.exp(log_rho - peak[:, None]).sum(axis=1))).sum())
-        rho = normalize_log_posteriors(log_rho)
+        rho = np.exp(log_rho - peak[:, None])
+        total = rho.sum(axis=1)
+        log_likelihood = float((peak + np.log(total)).sum())
+        rho /= total[:, None]
         trace.append(log_likelihood)
         if config.stop_on_convergence and len(trace) >= 2:
             previous = trace[-2]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+import warnings
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -34,6 +35,7 @@ from .core import (
     EmptyMatrix,
     LabelMatrix,
     LabelSet,
+    LengthMismatch,
     Prior,
     WorkerModel,
     error_rate,
@@ -76,6 +78,8 @@ def _read_labelled_rows(path, header: tuple, label_set: LabelSet):
     Blank rows are skipped; every other row must have one field per header
     column and a label token that names one of the label set's classes.
     """
+    classes = range(1, label_set.num_classes + 1)
+    internal_of = dict(zip(label_set.to_external(classes).tolist(), classes))
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         first = next(reader, None)
@@ -89,13 +93,13 @@ def _read_labelled_rows(path, header: tuple, label_set: LabelSet):
             if len(row) != len(header):
                 raise ParseError(line_no, f"expected {len(header)} fields, "
                                           f"got {len(row)}")
-            *keys, token = (cell.strip() for cell in row)
+            *keys, token = [cell.strip() for cell in row]
             try:
                 raw_label = int(token)
             except ValueError as exc:
                 raise ParseError(line_no, f"label {token!r} is not an integer") from exc
-            internal = int(label_set.to_internal(raw_label))
-            if not 1 <= internal <= label_set.num_classes:
+            internal = internal_of.get(raw_label)
+            if internal is None:
                 raise UnknownLabel(
                     f"line {line_no}: label {raw_label} is not one of the "
                     f"{label_set.num_classes} classes")
@@ -134,20 +138,24 @@ def load_labels(path, fmt: str = "csv-triples",
 
     worker_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    cells: dict[tuple[int, int], int] = {}
+    seen: set[tuple[int, int]] = set()
+    workers, items, values = [], [], []
     for worker, item, label in _read_labelled_rows(
             path, ("worker", "item", "label"), label_set):
         cell = (worker_index.setdefault(worker, len(worker_index)),
                 item_index.setdefault(item, len(item_index)))
-        if cell in cells:
+        if cell in seen:
             raise DuplicateLabel(worker, item)
-        cells[cell] = label
-    if not cells:
+        seen.add(cell)
+        workers.append(cell[0])
+        items.append(cell[1])
+        values.append(label)
+    if not values:
         raise EmptyMatrix(f"{path} contains no labels")
-    data = np.zeros((len(worker_index), len(item_index)), dtype=np.int64)
-    data[tuple(np.array(list(cells)).T)] = list(cells.values())
-    return (LabelMatrix(data, label_set.num_classes),
-            list(worker_index), list(item_index))
+    labels = LabelMatrix(np.array(workers), np.array(items), np.array(values),
+                         len(worker_index), len(item_index),
+                         label_set.num_classes)
+    return labels, list(worker_index), list(item_index)
 
 
 def load_truth(path, label_set: LabelSet,
@@ -177,8 +185,13 @@ def subsample_labels(labels: LabelMatrix, keep_prob: float,
     if not 0 <= keep_prob <= 1:
         raise DomainError("keep probability must lie in [0, 1]")
     rng = derive_rng(seed, "subsample")
-    keep = rng.random(labels.data.shape) < keep_prob
-    return LabelMatrix(np.where(keep, labels.data, 0), labels.num_classes)
+    # One uniform per grid cell, so each cell's draw is fixed by the seed
+    # alone, whichever cells are observed.
+    grid = rng.random((labels.num_workers, labels.num_items))
+    keep = grid[labels.workers, labels.items] < keep_prob
+    return LabelMatrix(labels.workers[keep], labels.items[keep],
+                       labels.labels[keep], labels.num_workers,
+                       labels.num_items, labels.num_classes)
 
 
 @dataclass(frozen=True)
@@ -205,7 +218,10 @@ def summarize_dataset(labels: LabelMatrix, truth=None) -> DatasetSummary:
     accuracy = None
     if truth is not None:
         truth = np.asarray(truth)
-        agree = ((labels.data == truth[None, :]) & labels.mask).sum(axis=1)
+        if truth.shape != (labels.num_items,):
+            raise LengthMismatch("need exactly one true label per item")
+        agree = labels.agreement(
+            truth[:, None] == np.arange(1, labels.num_classes + 1))
         with_labels = per_worker > 0
         if with_labels.any():
             accuracy = float(np.mean(agree[with_labels] / per_worker[with_labels]))
@@ -496,7 +512,11 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             spec["path"], spec.get("format", "csv-triples"), label_set)
         truth = None
         if spec.get("truth"):
-            truth, _ = load_truth(spec["truth"], label_set, item_ids)
+            truth, unlabeled = load_truth(spec["truth"], label_set, item_ids)
+            if unlabeled:
+                warnings.warn(f"{unlabeled} truth rows name items without "
+                              f"labels; no error rate covers them",
+                              stacklevel=2)
         dataset = labels, truth
     rows = [row
             for sweep_index, sweep_value in enumerate(config.sweep_grid)

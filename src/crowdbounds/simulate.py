@@ -107,14 +107,14 @@ def simulate_dataset(config: SimConfig) -> SimOutput:
     M, N, L = config.num_workers, config.num_items, config.num_classes
     truth = rng.choice(np.arange(1, L + 1), size=N, p=config.prior.probs)
     probs = config.assignment.full(M, N)
-    observed = rng.random((M, N)) < probs
-    cumulative = np.cumsum(config.worker_model.as_gds(), axis=2)
-    row_cdf = cumulative[np.arange(M)[:, None], truth[None, :] - 1, :]
-    draws = rng.random((M, N))
-    sampled = (draws[:, :, None] > row_cdf).sum(axis=2) + 1
+    workers, items = np.nonzero(rng.random((M, N)) < probs)
+    # The label uniforms are drawn for the whole grid, so each cell's draw
+    # is fixed by the seed alone, whichever cells are observed.
+    draws = rng.random((M, N))[workers, items]
+    cdf = np.cumsum(config.worker_model.as_gds(), axis=2)[workers, truth[items] - 1]
+    sampled = (draws[:, None] > cdf).sum(axis=1) + 1
     np.minimum(sampled, L, out=sampled)  # guard against cumsum rounding
-    data = np.where(observed, sampled, 0)
-    return SimOutput(truth, LabelMatrix(data, L))
+    return SimOutput(truth, LabelMatrix(workers, items, sampled, M, N, L))
 
 
 def make_misspecified_dataset(group1_size: int, group2_size: int,
@@ -139,13 +139,9 @@ def make_misspecified_dataset(group1_size: int, group2_size: int,
     M = group1_size + group2_size
     N = set1_size + set2_size
     truth = rng.integers(1, 3, size=N)
-    observed = rng.random((M, N)) < q
-    accuracy = np.empty((M, N))
-    accuracy[:group1_size, :set1_size] = block[0, 0]
-    accuracy[:group1_size, set1_size:] = block[0, 1]
-    accuracy[group1_size:, :set1_size] = block[1, 0]
-    accuracy[group1_size:, set1_size:] = block[1, 1]
-    correct = rng.random((M, N)) < accuracy
-    data = np.where(correct, truth[None, :], 3 - truth[None, :])
-    data = np.where(observed, data, 0)
-    return SimOutput(truth, LabelMatrix(data, 2))
+    workers, items = np.nonzero(rng.random((M, N)) < q)
+    accuracy = block[(workers >= group1_size).astype(int),
+                     (items >= set1_size).astype(int)]
+    correct = rng.random((M, N))[workers, items] < accuracy
+    labels = np.where(correct, truth[items], 3 - truth[items])
+    return SimOutput(truth, LabelMatrix(workers, items, labels, M, N, 2))

@@ -30,7 +30,7 @@ from test_core import random_label_matrix
 
 
 def matrix(rows, L=2):
-    return LabelMatrix(np.array(rows), L)
+    return LabelMatrix.from_dense(np.array(rows), L)
 
 
 class TestMajorityVote:
@@ -274,5 +274,5 @@ class TestOneStepWmv:
 
     def test_unanimous_workers_reduce_to_majority(self):
         column = np.array([[1, 2, 2, 1]])
-        labels = LabelMatrix(np.repeat(column, 4, axis=0), 2)
+        labels = LabelMatrix.from_dense(np.repeat(column, 4, axis=0), 2)
         assert np.array_equal(one_step_wmv(labels), majority_vote(labels))

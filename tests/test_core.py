@@ -29,13 +29,13 @@ def random_worker_model(rng, num_workers, num_classes):
 def random_label_matrix(rng, num_workers, num_items, num_classes, density=0.7):
     data = rng.integers(1, num_classes + 1, size=(num_workers, num_items))
     data[rng.random((num_workers, num_items)) > density] = 0
-    return LabelMatrix(data, num_classes)
+    return LabelMatrix.from_dense(data, num_classes)
 
 
 class TestValidateLabelMatrix:
     def test_mask_derivation(self):
         matrix = validate_label_matrix([[1, 2], [0, 1]], LabelSet(2))
-        assert matrix.mask.astype(int).tolist() == [[1, 1], [0, 1]]
+        assert (matrix.dense() != 0).astype(int).tolist() == [[1, 1], [0, 1]]
         assert matrix.num_workers == 2 and matrix.num_items == 2
 
     def test_out_of_range_is_reported_one_based(self):
@@ -58,7 +58,7 @@ class TestValidateLabelMatrix:
 
     def test_binary_convention_maps_signs(self):
         matrix = validate_label_matrix([[1, -1, 0]], LabelSet(2, binary_convention=True))
-        assert matrix.data.tolist() == [[1, 2, 0]]
+        assert matrix.dense().tolist() == [[1, 2, 0]]
 
     def test_binary_convention_rejects_plain_two(self):
         with pytest.raises(OutOfRangeLabel):
@@ -69,25 +69,25 @@ class TestPosterior:
     def test_single_worker_bayes(self):
         # One worker of accuracy 0.8 voting class 1 under a uniform prior.
         model = WorkerModel.hds([0.8], 2)
-        labels = LabelMatrix(np.array([[1]]), 2)
+        labels = LabelMatrix.from_dense(np.array([[1]]), 2)
         rho = posterior(model, Prior.uniform(2), labels)
         assert rho[0, 0] == pytest.approx(0.8, abs=1e-12)
 
     def test_uninformative_likelihood(self):
         model = WorkerModel.gds(np.full((3, 4, 4), 0.25))
-        labels = LabelMatrix(np.array([[1, 2], [3, 4], [2, 2]]), 4)
+        labels = LabelMatrix.from_dense(np.array([[1, 2], [3, 4], [2, 2]]), 4)
         rho = posterior(model, Prior.uniform(4), labels)
         assert np.allclose(rho, 0.25, atol=1e-12)
 
     def test_noiseless_consistent_column(self):
         model = WorkerModel.hds([1.0, 1.0, 1.0], 3)
-        labels = LabelMatrix(np.array([[2], [2], [2]]), 3)
+        labels = LabelMatrix.from_dense(np.array([[2], [2], [2]]), 3)
         rho = posterior(model, Prior.uniform(3), labels)
         assert rho[0, 1] == pytest.approx(1.0, abs=1e-9)
 
     def test_dimension_mismatch(self):
         model = WorkerModel.hds([0.8, 0.9], 2)
-        labels = LabelMatrix(np.array([[1]]), 2)
+        labels = LabelMatrix.from_dense(np.array([[1]]), 2)
         with pytest.raises(DimensionMismatch):
             posterior(model, Prior.uniform(2), labels)
 

@@ -41,7 +41,7 @@ class TestEmFit:
 
     def test_silent_worker_stays_uninformative(self):
         data = np.array([[1, 2, 1, 2, 1], [0, 0, 0, 0, 0]])
-        labels = LabelMatrix(data, 2)
+        labels = LabelMatrix.from_dense(data, 2)
         hds = em_fit(labels, EmConfig(model_kind="hds"))
         assert hds.worker_model.params[1] == pytest.approx(0.5)
         gds = em_fit(labels, EmConfig(model_kind="gds"))
@@ -78,9 +78,9 @@ class TestEmFit:
         labels = random_label_matrix(rng, 5, 40, L)
         init = rng.dirichlet(np.ones(L), size=40)
         permutation = np.array([2, 0, 1])  # class k -> permutation[k-1] + 1
-        permuted_data = np.where(labels.mask,
-                                 permutation[labels.data - 1] + 1, 0)
-        permuted = LabelMatrix(permuted_data, L)
+        permuted_data = np.where(labels.dense() != 0,
+                                 permutation[labels.dense() - 1] + 1, 0)
+        permuted = LabelMatrix.from_dense(permuted_data, L)
         base = em_fit(labels, EmConfig("gds", init=init))
         other = em_fit(permuted,
                        EmConfig("gds", init=init[:, np.argsort(permutation)]))
@@ -126,7 +126,7 @@ class TestEmFit:
         assert np.abs(result.posteriors.sum(axis=1) - 1.0).max() <= 1e-9
 
     def test_provided_init_validated(self):
-        labels = LabelMatrix(np.array([[1, 2], [2, 2]]), 2)
+        labels = LabelMatrix.from_dense(np.array([[1, 2], [2, 2]]), 2)
         with pytest.raises(Exception):
             em_fit(labels, EmConfig("hds", init=np.ones((2, 2))))
 

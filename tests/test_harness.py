@@ -62,7 +62,7 @@ class TestLoadLabels:
         labels, workers, items = load_labels(path, label_set=LabelSet(2))
         assert workers == ["ann", "bob"]
         assert items == ["q2", "q1"]
-        assert labels.data.tolist() == [[1, 1], [0, 2]]
+        assert labels.dense().tolist() == [[1, 1], [0, 2]]
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -99,14 +99,14 @@ class TestLoadLabels:
         write_triples(path, [("a", "x", 1), ("b", "x", -1)])
         labels, _, _ = load_labels(path,
                                    label_set=LabelSet(2, binary_convention=True))
-        assert labels.data.tolist() == [[1], [2]]
+        assert labels.dense().tolist() == [[1], [2]]
 
     def test_dense_csv(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("1,0,2\n2,2,0\n")
         labels, workers, items = load_labels(path, fmt="dense-csv",
                                              label_set=LabelSet(2))
-        assert labels.data.tolist() == [[1, 0, 2], [2, 2, 0]]
+        assert labels.dense().tolist() == [[1, 0, 2], [2, 2, 0]]
         assert workers == ["0", "1"] and items == ["0", "1", "2"]
 
     def test_duchenne_shaped_fixture(self, tmp_path):
@@ -144,8 +144,8 @@ class TestTruthAndSubsample:
         path = tmp_path / "labels.csv"
         make_fixture(path, 5, 40, 120, 2, seed=1)
         labels, _, _ = load_labels(path, label_set=LabelSet(2))
-        assert np.array_equal(subsample_labels(labels, 1.0, seed=3).data,
-                              labels.data)
+        assert np.array_equal(subsample_labels(labels, 1.0, seed=3).dense(),
+                              labels.dense())
         assert subsample_labels(labels, 0.0, seed=3).num_labels == 0
         with pytest.raises(DomainError):
             subsample_labels(labels, 1.5)
@@ -164,7 +164,7 @@ class TestTruthAndSubsample:
         labels, _, _ = load_labels(path, label_set=LabelSet(3))
         first = subsample_labels(labels, 0.4, seed=11)
         second = subsample_labels(labels, 0.4, seed=11)
-        assert np.array_equal(first.data, second.data)
+        assert np.array_equal(first.dense(), second.dense())
 
     def test_load_summarize_subsample_fixed_point(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -178,7 +178,7 @@ class TestTruthAndSubsample:
 class TestSummarize:
     def test_worker_accuracy_against_truth(self):
         from crowdbounds.core import LabelMatrix
-        labels = LabelMatrix(np.array([[1, 2, 0], [2, 2, 1]]), 2)
+        labels = LabelMatrix.from_dense(np.array([[1, 2, 0], [2, 2, 1]]), 2)
         truth = np.array([1, 2, 1])
         summary = summarize_dataset(labels, truth)
         # worker 0 matches both labels; worker 1 matches 2 of 3
@@ -262,6 +262,20 @@ class TestRunExperiment:
         assert len(rows) == 8
         assert all(r.error_rate is not None for r in rows)
 
+    def test_dataset_scenario_warns_about_unlabelled_truth_rows(self, tmp_path):
+        labels_path = tmp_path / "labels.csv"
+        make_fixture(labels_path, 6, 30, 90, 2, seed=8)
+        truth_path = tmp_path / "truth.csv"
+        lines = ["item,label"] + [f"i{j},1" for j in range(32)]
+        truth_path.write_text("\n".join(lines) + "\n")
+        config = ExperimentConfig(
+            scenario="dataset", methods=("mv",), trials=1,
+            sweep_variable="s", sweep_grid=(1.0,), master_seed=0,
+            dataset={"path": str(labels_path), "truth": str(truth_path), "L": 2})
+        with pytest.warns(UserWarning, match="^2 truth rows"):
+            rows = run_experiment(config)
+        assert rows[0].error_rate is not None
+
     def test_timing_disabled_by_default(self):
         rows = run_experiment(small_sweep_config())
         assert all(r.seconds is None for r in rows)
@@ -301,7 +315,7 @@ class TestRunExperiment:
             "wmv", "oracle-map"]
 
     def test_only_methods_that_need_the_model_fail_without_it(self):
-        labels = LabelMatrix(np.array([[1, 2, 1], [1, 2, 2], [2, 2, 1]]), 2)
+        labels = LabelMatrix.from_dense(np.array([[1, 2, 1], [1, 2, 2], [2, 2, 1]]), 2)
         for name, method in METHODS.items():
             if method.needs_model:
                 with pytest.raises(DomainError, match="true"):
@@ -435,6 +449,24 @@ class TestCli:
         assert main(["summarize", *common]) == 0
         assert json.loads(capsys.readouterr().out)["truth_unlabeled"] == 1
 
+    def test_large_sparse_input(self, tmp_path, capsys):
+        # 100k workers x 100k items would be an 80 GB grid; 100k labels are
+        # a few megabytes as triples.
+        size = 100_000
+        rng = np.random.default_rng(0)
+        items = rng.permutation(size)
+        labels = rng.integers(1, 4, size)
+        path = tmp_path / "labels.csv"
+        path.write_text("worker,item,label\n" + "".join(
+            f"w{w},i{i},{label}\n" for w, (i, label) in enumerate(zip(items, labels))))
+        common = ["--in", str(path), "--classes", "3"]
+        assert main(["aggregate", "--method", "iwmv", *common]) == 0
+        assert json.loads(capsys.readouterr().out)["items"] == size
+        assert main(["summarize", *common]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["num_workers"], summary["num_items"],
+                summary["num_labels"]) == (size, size, size)
+
     def test_infeasible_target_mean_exits_1(self, tmp_path, capsys):
         rc = main(["simulate", "--workers", "3", "--items", "5",
                    "--beta-a", "1", "--beta-b", "1", "--target-mean", "0.99",
@@ -452,3 +484,11 @@ class TestCli:
         assert main([*argv, "--params", json.dumps({**params, "N": 50})]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["high_probability"]["inputs"]["num_items"] == 50
+
+    def test_bounds_epsilon_rejected_where_unsupported(self, capsys):
+        cases = {"mv-hds": {"q": 1.0, "mean_accuracy": 0.7, "M": 10, "L": 2},
+                 "oswmv": {"accuracies": [0.8] * 15, "N": 2000}}
+        for scenario, params in cases.items():
+            assert main(["bounds", "--scenario", scenario, "--epsilon", "0.1",
+                         "--params", json.dumps(params)]) == 1
+            assert repr(scenario) in capsys.readouterr().err

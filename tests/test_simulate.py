@@ -53,11 +53,11 @@ class TestSampleWorkersBeta:
 class TestSimulateDataset:
     def test_certain_assignment_gives_full_mask(self):
         out = simulate_dataset(hds_config(4, 30, 2, [0.7] * 4, q=1.0))
-        assert out.labels.mask.all()
+        assert (out.labels.dense() != 0).all()
 
     def test_noiseless_workers_copy_the_truth(self):
         out = simulate_dataset(hds_config(3, 50, 3, [1.0] * 3, q=1.0))
-        assert np.array_equal(out.labels.data,
+        assert np.array_equal(out.labels.dense(),
                               np.broadcast_to(out.truth, (3, 50)))
 
     def test_uniform_prior_class_balance(self):
@@ -71,12 +71,12 @@ class TestSimulateDataset:
         out1 = simulate_dataset(config)
         out2 = simulate_dataset(config)
         assert np.array_equal(out1.truth, out2.truth)
-        assert np.array_equal(out1.labels.data, out2.labels.data)
+        assert np.array_equal(out1.labels.dense(), out2.labels.dense())
 
     def test_mask_density_matches_assignment(self):
         M, N, q = 10, 5000, 0.3
         out = simulate_dataset(hds_config(M, N, 2, [0.7] * M, q=q, seed=17))
-        observed = out.labels.mask.mean()
+        observed = (out.labels.dense() != 0).mean()
         sigma = np.sqrt(q * (1 - q) / (M * N))
         assert abs(observed - q) <= 4 * sigma
 
@@ -91,12 +91,13 @@ class TestSimulateDataset:
                            AssignmentModel.constant(0.8), model, seed=11)
         out = simulate_dataset(config)
         tables = model.as_gds()
+        grid = out.labels.dense()
         for i in range(M):
             for k in range(1, L + 1):
-                seen = (out.truth == k) & out.labels.mask[i]
+                seen = (out.truth == k) & (grid[i] != 0)
                 assert seen.sum() > 1000
                 for l in range(1, L + 1):
-                    freq = np.mean(out.labels.data[i, seen] == l)
+                    freq = np.mean(grid[i, seen] == l)
                     assert abs(freq - tables[i, k - 1, l - 1]) <= 0.02
 
     def test_vector_assignment_controls_per_worker_density(self):
@@ -105,7 +106,7 @@ class TestSimulateDataset:
                            AssignmentModel.vector(probs),
                            WorkerModel.hds([0.7, 0.7], 2), seed=2)
         out = simulate_dataset(config)
-        rates = out.labels.mask.mean(axis=1)
+        rates = (out.labels.dense() != 0).mean(axis=1)
         assert abs(rates[0] - 0.1) < 0.02 and abs(rates[1] - 0.9) < 0.02
 
     def test_matrix_assignment_controls_per_cell_density(self):
@@ -114,7 +115,7 @@ class TestSimulateDataset:
                            AssignmentModel.matrix(probs),
                            WorkerModel.hds([0.7, 0.7], 2), seed=6)
         out = simulate_dataset(config)
-        rates = out.labels.mask.mean(axis=1)
+        rates = (out.labels.dense() != 0).mean(axis=1)
         assert abs(rates[0] - 0.2) < 0.025 and abs(rates[1] - 0.8) < 0.025
 
 
@@ -129,15 +130,15 @@ class TestMisspecifiedDataset:
     def test_perfect_block_copies_truth_on_mask(self):
         out = make_misspecified_dataset(3, 3, 40, 40, [[1, 1], [1, 1]],
                                         q=0.5, seed=1)
-        mask = out.labels.mask
-        assert np.array_equal(out.labels.data[mask],
+        mask = out.labels.dense() != 0
+        assert np.array_equal(out.labels.dense()[mask],
                               np.broadcast_to(out.truth, (6, 80))[mask])
 
     def test_coin_flip_block_agreement_rate(self):
         out = make_misspecified_dataset(4, 4, 500, 500,
                                         [[0.5, 0.5], [0.5, 0.5]], q=1.0, seed=3)
-        agree = (out.labels.data == out.truth[None, :]).mean()
-        n = out.labels.data.size
+        agree = (out.labels.dense() == out.truth[None, :]).mean()
+        n = out.labels.dense().size
         assert abs(agree - 0.5) <= 3 * np.sqrt(0.25 / n)
 
     def test_block_probabilities_validated(self):
@@ -147,7 +148,7 @@ class TestMisspecifiedDataset:
     def test_group_block_accuracies_realised(self):
         out = make_misspecified_dataset(10, 10, 400, 400,
                                         [[0.9, 0.6], [0.5, 0.7]], q=1.0, seed=9)
-        data, truth = out.labels.data, out.truth
+        data, truth = out.labels.dense(), out.truth
         blocks = [(slice(0, 10), slice(0, 400), 0.9),
                   (slice(0, 10), slice(400, 800), 0.6),
                   (slice(10, 20), slice(0, 400), 0.5),
