@@ -128,8 +128,8 @@ def score_quantities(rule: DecomposableRule, assignment: AssignmentModel,
     if model.num_workers != M or model.num_classes != L:
         raise DimensionMismatch("rule and worker model dimensions differ")
     tables = model.as_gds()
-    observed_scores = rule.scores[:, :, 1:]  # (M, L, L) indexed [i, k, h]
-    diff = observed_scores[:, :, None, :] - observed_scores[:, None, :, :]
+    scores = rule.scores.transpose(0, 2, 1)  # (M, L, L) indexed [i, k, h - 1]
+    diff = scores[:, :, None, :] - scores[:, None, :, :]
     off_diag = ~np.eye(L, dtype=bool)
     # max_{k != l, h} |f_i(k, h) - f_i(l, h)| per worker
     step = np.abs(diff)[:, off_diag, :].max(axis=(1, 2))

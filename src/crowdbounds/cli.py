@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import bounds as bnd
-from .core import (AssignmentModel, DecomposableRule, DomainError, LabelSet,
-                   Prior, WorkerModel, error_rate)
+from .core import (AssignmentModel, DecomposableRule, DimensionMismatch,
+                   DomainError, LabelSet, Prior, WorkerModel, error_rate)
 from .harness import (
     METHODS,
     ExperimentConfig,
@@ -98,6 +98,23 @@ def _cmd_aggregate(args) -> int:
     return 0
 
 
+def _general_rule(scores, shifts) -> DecomposableRule:
+    """The rule of the ``general`` bounds scenario.
+
+    Its ``scores`` JSON has shape (M, L, L + 1), indexed ``[i, k, h]`` with
+    a missing-label column ``h = 0`` that must hold one constant: that
+    shifts every class alike, so the column is dropped and the rest stored
+    in the rule's ``[i, h - 1, k]`` layout.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 3 or scores.shape[2] != scores.shape[1] + 1:
+        raise DimensionMismatch("scores must have shape (M, L, L + 1)")
+    missing = scores[:, :, 0]
+    if np.any(missing != missing.flat[0]):
+        raise DomainError("the missing-label score must be one constant")
+    return DecomposableRule(scores[:, :, 1:].transpose(0, 2, 1), shifts)
+
+
 def _cmd_bounds(args) -> int:
     params = json.loads(args.params)
     scenario = args.scenario
@@ -118,8 +135,7 @@ def _cmd_bounds(args) -> int:
             params["accuracies"], params["N"],
             rho_convention=params.get("rho_convention", "proof"))
     elif scenario == "general":
-        rule = DecomposableRule(np.asarray(params["scores"], dtype=float),
-                                np.asarray(params["shifts"], dtype=float))
+        rule = _general_rule(params["scores"], params["shifts"])
         assignment = AssignmentModel(params.get("assignment_kind", "constant"),
                                      params["assignment"])
         model = WorkerModel.gds(np.asarray(params["tables"], dtype=float))

@@ -226,6 +226,18 @@ class LabelMatrix:
         return _gather_sum(np.asarray(item_rows, dtype=float), self.items,
                            self._worker_keys, M * L * L).reshape(M, L, L)
 
+    def worker_accuracies(self, item_rows) -> np.ndarray:
+        """Per-worker :meth:`agreement` divided by the worker's label count.
+
+        A worker with no labels gets ``1 / L``, the accuracy of guessing.
+        """
+        agree = self.agreement(item_rows)
+        counts = self.labels_per_worker()
+        out = np.full(self.num_workers, 1.0 / self.num_classes)
+        seen = counts > 0
+        out[seen] = agree[seen] / counts[seen]
+        return out
+
     def agreement(self, item_rows) -> np.ndarray:
         """Per-worker sums of ``item_rows[j, h - 1]`` over the worker's labels.
 
@@ -357,6 +369,22 @@ class AssignmentModel:
             self.worker_probs(num_workers)[:, None], (num_workers, num_items))
 
 
+def symmetric_tables(diagonal, num_classes: int) -> np.ndarray:
+    """(M, L, L) confusion tables with the given diagonal.
+
+    ``diagonal`` has shape (M, L) for per-class accuracies or (M, 1) for one
+    accuracy per worker; the rest of each row is spread evenly over the
+    other classes.
+    """
+    L = num_classes
+    diag = np.broadcast_to(diagonal, (len(diagonal), L))
+    off = (1.0 - diag) / (L - 1)
+    tables = np.repeat(off[:, :, None], L, axis=2)
+    idx = np.arange(L)
+    tables[:, idx, idx] = diag
+    return tables
+
+
 @dataclass(frozen=True)
 class WorkerModel:
     """Per-worker reliability under one of the three Dawid-Skene variants.
@@ -419,18 +447,10 @@ class WorkerModel:
 
     def as_gds(self) -> np.ndarray:
         """Expand to the full (M, L, L) conditional tables."""
-        L = self.num_classes
         if self.kind == "gds":
             return self.params
-        if self.kind == "sds":
-            diag = self.params
-        else:
-            diag = np.broadcast_to(self.params[:, None], (self.num_workers, L))
-        off = (1.0 - diag) / (L - 1)
-        tables = np.repeat(off[:, :, None], L, axis=2)
-        idx = np.arange(L)
-        tables[:, idx, idx] = diag
-        return tables
+        diag = self.params if self.kind == "sds" else self.params[:, None]
+        return symmetric_tables(diag, self.num_classes)
 
     def binary_rates(self) -> tuple[np.ndarray, np.ndarray]:
         """Accuracy on positive and on negative items (two classes only)."""
@@ -444,10 +464,10 @@ class WorkerModel:
 class DecomposableRule:
     """A prediction rule that scores each class as a per-worker sum.
 
-    ``scores[i, k, h]`` is the contribution to class ``k`` when worker ``i``
-    gives label ``h`` (``h = 0`` means missing and must carry one rule-wide
-    constant, since missing labels cannot discriminate between classes);
-    ``shifts[k]`` is a class offset added once per item.
+    ``scores[i, h - 1, k]`` is the contribution to class ``k`` when worker
+    ``i`` gives label ``h`` (a missing label contributes nothing), the
+    layout :meth:`LabelMatrix.item_scores` reads; ``shifts[k]`` is a class
+    offset added once per item.
     """
 
     scores: np.ndarray
@@ -456,15 +476,12 @@ class DecomposableRule:
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
         shifts = np.asarray(self.shifts, dtype=float)
-        if scores.ndim != 3 or scores.shape[1] + 1 != scores.shape[2]:
-            raise DimensionMismatch("score table must have shape (M, L, L + 1)")
+        if scores.ndim != 3 or scores.shape[1] != scores.shape[2]:
+            raise DimensionMismatch("score table must have shape (M, L, L)")
         if shifts.shape != (scores.shape[1],):
             raise DimensionMismatch("shift vector must have one entry per class")
         if not (np.isfinite(scores).all() and np.isfinite(shifts).all()):
             raise DomainError("scores and shifts must be finite")
-        missing = scores[:, :, 0]
-        if missing.size and np.any(missing != missing.flat[0]):
-            raise DomainError("the missing-label score must be one rule-wide constant")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "shifts", shifts)
 
@@ -479,19 +496,16 @@ class DecomposableRule:
     @classmethod
     def indicator(cls, num_workers: int, num_classes: int) -> "DecomposableRule":
         """Majority voting: one point to the class the worker named."""
-        scores = np.zeros((num_workers, num_classes, num_classes + 1))
-        idx = np.arange(num_classes)
-        scores[:, idx, idx + 1] = 1.0
-        return cls(scores, np.zeros(num_classes))
+        return cls.weighted_indicator(np.ones(num_workers), num_classes)
 
     @classmethod
     def weighted_indicator(cls, weights, num_classes: int,
                            shifts=None) -> "DecomposableRule":
         """Weighted majority voting with per-worker weights."""
         weights = np.asarray(weights, dtype=float)
-        scores = np.zeros((weights.size, num_classes, num_classes + 1))
+        scores = np.zeros((weights.size, num_classes, num_classes))
         idx = np.arange(num_classes)
-        scores[:, idx, idx + 1] = weights[:, None]
+        scores[:, idx, idx] = weights[:, None]
         if shifts is None:
             shifts = np.zeros(num_classes)
         return cls(scores, np.asarray(shifts, dtype=float))
@@ -501,11 +515,16 @@ class DecomposableRule:
         """The Bayes-classifier rule: log confusion entries plus log prior."""
         if prior.num_classes != model.num_classes:
             raise DimensionMismatch("prior and worker model class counts differ")
-        tables = model.as_gds()
-        scores = np.zeros(
-            (model.num_workers, model.num_classes, model.num_classes + 1))
-        scores[:, :, 1:] = np.log(np.clip(tables, LOG_FLOOR, None))
-        return cls(scores, np.log(np.clip(prior.probs, LOG_FLOOR, None)))
+        return cls(*_log_map_rule(model.as_gds(), prior.probs))
+
+
+def _log_map_rule(tables, prior_probs) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle-MAP scores and shifts: the log of the confusion entry
+    ``tables[i, k, h - 1]`` at ``[i, h - 1, k]`` and the log prior, both
+    floored at ``LOG_FLOOR``."""
+    log_tables = np.log(np.clip(tables, LOG_FLOOR, None))
+    return (log_tables.transpose(0, 2, 1),
+            np.log(np.clip(prior_probs, LOG_FLOOR, None)))
 
 
 def normalize_log_posteriors(log_scores: np.ndarray) -> np.ndarray:
@@ -527,9 +546,7 @@ def map_scores(labels: LabelMatrix, tables, prior_probs) -> np.ndarray:
     confusion-table entry ``tables[i, k, h - 1]`` of every observed label,
     with entries floored at ``LOG_FLOOR``.
     """
-    log_tables = np.log(np.clip(tables, LOG_FLOOR, None))
-    return labels.item_scores(log_tables.transpose(0, 2, 1),
-                              np.log(np.clip(prior_probs, LOG_FLOOR, None)))
+    return labels.item_scores(*_log_map_rule(tables, prior_probs))
 
 
 def posterior(model: WorkerModel, prior: Prior, labels: LabelMatrix) -> np.ndarray:
@@ -560,25 +577,9 @@ def error_rate(predicted, truth) -> float:
     return float(np.mean(predicted != truth))
 
 
-def argmax_labels(scores: np.ndarray, tie_break: str = "lowest",
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+def argmax_labels(scores) -> np.ndarray:
     """Predict the class with the highest score for every row.
 
-    Ties resolve deterministically to the smallest class index by default;
-    ``tie_break="random"`` picks uniformly among the tied classes using the
-    supplied generator.
+    Ties resolve to the smallest class index.
     """
-    scores = np.asarray(scores, dtype=float)
-    if tie_break == "lowest":
-        return scores.argmax(axis=1) + 1
-    if tie_break != "random":
-        raise DomainError(f"unknown tie policy {tie_break!r}")
-    if rng is None:
-        raise DomainError("the random tie policy needs a generator")
-    best = scores.max(axis=1, keepdims=True)
-    out = scores.argmax(axis=1) + 1
-    tied = scores == best
-    multi = tied.sum(axis=1) > 1
-    for j in np.flatnonzero(multi):
-        out[j] = rng.choice(np.flatnonzero(tied[j])) + 1
-    return out
+    return np.asarray(scores).argmax(axis=1) + 1

@@ -20,6 +20,7 @@ from .core import (
     WorkerModel,
     argmax_labels,
     map_scores,
+    symmetric_tables,
 )
 from .aggregate import majority_vote
 
@@ -70,7 +71,8 @@ def _initial_posteriors(labels: LabelMatrix, config: EmConfig) -> np.ndarray:
     rho = np.asarray(config.init, dtype=float)
     if rho.shape != (labels.num_items, labels.num_classes):
         raise DimensionMismatch("initial posteriors must be (items, classes)")
-    if rho.min() < 0 or np.abs(rho.sum(axis=1) - 1.0).max() > 1e-9:
+    if (not np.isfinite(rho).all() or rho.min() < 0
+            or np.abs(rho.sum(axis=1) - 1.0).max() > 1e-9):
         raise DomainError("initial posteriors must be probability rows")
     return rho.copy()
 
@@ -90,7 +92,6 @@ def em_fit(labels: LabelMatrix, config: EmConfig = EmConfig()) -> EmResult:
     the ``converged`` flag, never as an error.
     """
     M, L = labels.num_workers, labels.num_classes
-    per_worker = labels.labels_per_worker()
     rho = _initial_posteriors(labels, config)
 
     trace: list[float] = []
@@ -109,11 +110,8 @@ def em_fit(labels: LabelMatrix, config: EmConfig = EmConfig()) -> EmResult:
             seen = denom > 0
             tables[seen] = counts[seen] / denom[seen][:, None]
         else:
-            agree = labels.agreement(rho)
-            accuracies = np.full(M, 1.0 / L)
-            seen = per_worker > 0
-            accuracies[seen] = agree[seen] / per_worker[seen]
-            tables = WorkerModel.hds(accuracies, L).as_gds()
+            accuracies = labels.worker_accuracies(rho)
+            tables = symmetric_tables(accuracies[:, None], L)
         # E-step
         log_rho = map_scores(labels, tables, prior_hat)
         peak = log_rho.max(axis=1)
@@ -137,7 +135,6 @@ def em_fit(labels: LabelMatrix, config: EmConfig = EmConfig()) -> EmResult:
                     np.asarray(trace), iterations, converged)
 
 
-def em_map_predict(result: EmResult, tie_break: str = "lowest",
-                   rng: np.random.Generator | None = None) -> np.ndarray:
+def em_map_predict(result: EmResult) -> np.ndarray:
     """Predict each item as the class with the largest fitted posterior."""
-    return argmax_labels(result.posteriors, tie_break, rng)
+    return argmax_labels(result.posteriors)

@@ -220,11 +220,11 @@ def summarize_dataset(labels: LabelMatrix, truth=None) -> DatasetSummary:
         truth = np.asarray(truth)
         if truth.shape != (labels.num_items,):
             raise LengthMismatch("need exactly one true label per item")
-        agree = labels.agreement(
+        accuracies = labels.worker_accuracies(
             truth[:, None] == np.arange(1, labels.num_classes + 1))
         with_labels = per_worker > 0
         if with_labels.any():
-            accuracy = float(np.mean(agree[with_labels] / per_worker[with_labels]))
+            accuracy = float(np.mean(accuracies[with_labels]))
     return DatasetSummary(
         num_classes=labels.num_classes,
         num_workers=labels.num_workers,

@@ -221,8 +221,17 @@ class TestIwmv:
     def test_single_iteration_equals_one_step(self, seed, L):
         rng = np.random.default_rng(seed)
         labels = random_label_matrix(rng, 5, 25, L)
-        result = iwmv(labels, max_iters=1)
-        assert np.array_equal(result.predictions, one_step_wmv(labels))
+        # Reference: majority vote, accuracies against it on the dense grid
+        # (1/L for a silent worker), weights L w - 1, one weighted vote.
+        grid = labels.dense()
+        baseline = majority_vote(labels)
+        counts = (grid != 0).sum(axis=1)
+        seen = counts > 0
+        accuracies = np.full(5, 1.0 / L)
+        accuracies[seen] = (grid == baseline).sum(axis=1)[seen] / counts[seen]
+        reference = weighted_majority_vote(labels, L * accuracies - 1.0)
+        assert np.array_equal(one_step_wmv(labels), reference)
+        assert np.array_equal(iwmv(labels, max_iters=1).predictions, reference)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["linear", "log"]))

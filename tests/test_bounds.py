@@ -152,7 +152,7 @@ class TestScoreQuantities:
         assert sq.t_low == pytest.approx(sq.tau_min.min())
 
     def test_degenerate_rule_rejected(self):
-        scores = np.zeros((2, 2, 3))
+        scores = np.zeros((2, 2, 2))
         with pytest.raises(DomainError):
             score_quantities(DecomposableRule(scores, np.zeros(2)),
                              AssignmentModel.constant(1.0),

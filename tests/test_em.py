@@ -130,6 +130,13 @@ class TestEmFit:
         with pytest.raises(Exception):
             em_fit(labels, EmConfig("hds", init=np.ones((2, 2))))
 
+    @pytest.mark.parametrize("init", [np.full((2, 2), np.nan),
+                                      [[0.5, 0.5], [np.nan, 0.5]]])
+    def test_non_finite_init_rejected(self, init):
+        labels = LabelMatrix.from_dense(np.array([[1, 2], [2, 2]]), 2)
+        with pytest.raises(DomainError):
+            em_fit(labels, EmConfig("gds", init=np.array(init)))
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             EmConfig(model_kind="sds")

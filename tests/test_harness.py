@@ -430,6 +430,27 @@ class TestCli:
             assert rc == 0, scenario
             json.loads(capsys.readouterr().out)
 
+    def test_general_scores_keep_the_missing_column(self, capsys):
+        """``general`` reads (M, L, L + 1) scores whose column h = 0 holds
+        one constant; the constant's value cannot change the bounds."""
+        params = {"shifts": [0.3, 0.0], "assignment": 0.7, "N": 200,
+                  "tables": [[[0.8, 0.2], [0.3, 0.7]],
+                             [[0.6, 0.4], [0.1, 0.9]]]}
+
+        def run(scores):
+            argv = ["bounds", "--scenario", "general", "--epsilon", "0.1",
+                    "--params", json.dumps({**params, "scores": scores})]
+            return main(argv), capsys.readouterr().out
+
+        outputs = [run([[[c, 1.2, -0.4], [c, 0.1, 0.9]],
+                        [[c, 0.5, 0.0], [c, -0.3, 1.1]]])
+                   for c in (0.0, -2.5)]
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+        not_constant = [[[0, 1, 0], [0, 0, 1]], [[1, 1, 0], [1, 0, 1]]]
+        without_column = [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]
+        for scores in (not_constant, without_column, [], [[[]]]):
+            assert run(scores)[0] == 1, scores
+
     def test_validation_exit_codes(self, tmp_path):
         assert main(["summarize", "--in", str(tmp_path / "missing.csv")]) == 1
         assert main(["aggregate", "--method", "nope", "--in", "x"]) == 1

@@ -50,9 +50,9 @@ def one_hot(grid, L):
 
 
 def dense_rule_scores(grid, rule):
-    """Aggregated rule scores over the full grid, missing column included."""
-    votes = one_hot(grid, rule.num_classes)
-    return np.einsum("ijh,ikh->jk", votes, rule.scores) + rule.shifts
+    """Aggregated rule scores over the full grid."""
+    votes = one_hot(grid, rule.num_classes)[:, :, 1:]
+    return np.einsum("ijh,ihk->jk", votes, rule.scores) + rule.shifts
 
 
 def dense_map_scores(grid, tables, prior_probs):
@@ -115,19 +115,13 @@ class TestKernelAgainstDenseReference:
         rng = np.random.default_rng(seed)
         grid = random_grid(rng, M, N, L, density)
         labels = LabelMatrix.from_dense(grid, L)
-        scores = rng.normal(size=(M, L, L + 1))
-        scores[:, :, 0] = rng.normal()  # one rule-wide missing-label score
-        rule = DecomposableRule(scores, rng.normal(size=L))
-        without_missing = DecomposableRule(
-            np.concatenate([np.zeros((M, L, 1)), scores[:, :, 1:]], axis=2),
-            rule.shifts)
-        kernel = labels.item_scores(scores[:, :, 1:].transpose(0, 2, 1),
-                                    rule.shifts)
+        rule = DecomposableRule(rng.normal(size=(M, L, L)), rng.normal(size=L))
+        reference = dense_rule_scores(grid, rule)
         np.testing.assert_allclose(
-            kernel, dense_rule_scores(grid, without_missing), rtol=RTOL,
-            atol=RTOL * np.abs(scores).sum())
+            labels.item_scores(rule.scores, rule.shifts), reference,
+            rtol=RTOL, atol=RTOL * np.abs(rule.scores).sum())
         assert_same_argmax_where_clear(decomposable_predict(labels, rule),
-                                       dense_rule_scores(grid, rule))
+                                       reference)
 
     @settings(max_examples=150, deadline=None)
     @given(problems, st.sampled_from(["gds", "hds"]))
