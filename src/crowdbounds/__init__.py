@@ -44,7 +44,6 @@ from .aggregate import (
 from .em import EmConfig, EmResult, em_fit, em_map_predict
 from .bounds import (
     BoundReport,
-    OneStepBoundInputs,
     ScoreQuantities,
     bernoulli_kl,
     binary_entropy,

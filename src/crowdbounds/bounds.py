@@ -26,7 +26,6 @@ from .core import (
     DecomposableRule,
     DimensionMismatch,
     DomainError,
-    NotBinary,
     WorkerModel,
 )
 
@@ -59,16 +58,14 @@ class ScoreQuantities:
     ``gaps[j, k, l]`` is the expected aggregated-score gap between classes
     ``k`` and ``l`` when the true class is ``k`` (leading axis has length 1
     when the assignment does not vary across items). ``tau_min``/``tau_max``
-    are the per-item extremes of the normalised gap, and ``t_low``/``t_high``
-    their extremes across items.
+    are the per-item extremes of the normalised gap; ``t_low``/``t_high``
+    (their extremes across items) and ``num_classes`` are derived.
     """
 
     score_norm: float
     gaps: np.ndarray
     tau_min: np.ndarray
     tau_max: np.ndarray
-    t_low: float
-    t_high: float
     c: float
     sigma_sq: float
 
@@ -79,9 +76,18 @@ class ScoreQuantities:
             raise DomainError("the maximum normalised score step must lie in (0, 1]")
         if self.sigma_sq < -1e-12:
             raise DomainError("the gap variance bound cannot be negative")
-        if self.t_low > self.tau_min.min() + 1e-12 or \
-                self.t_high < self.tau_max.max() - 1e-12:
-            raise DomainError("item-level and global gap extremes are inconsistent")
+
+    @property
+    def t_low(self) -> float:
+        return float(self.tau_min.min())
+
+    @property
+    def t_high(self) -> float:
+        return float(self.tau_max.max())
+
+    @property
+    def num_classes(self) -> int:
+        return self.gaps.shape[1]
 
 
 @dataclass(frozen=True)
@@ -101,11 +107,6 @@ class BoundReport:
                 return value.tolist()
             if isinstance(value, (np.floating, np.integer)):
                 return value.item()
-            if isinstance(value, OneStepBoundInputs):
-                return {"num_workers": value.num_workers,
-                        "num_items": value.num_items,
-                        "accuracies": value.accuracies.tolist(),
-                        "rho": value.rho, "eta": value.eta}
             return value
 
         return {
@@ -147,24 +148,16 @@ def score_quantities(rule: DecomposableRule, assignment: AssignmentModel,
         probs = np.asarray(assignment.value)
         if probs.shape[0] != M:
             raise DimensionMismatch("assignment and rule worker counts differ")
-        gaps = np.einsum("ikl,ij->jkl", gap_per_worker, probs) + shift_diff
-        second = np.einsum("ikl,ij->jkl", second_per_worker, probs)
-        max_q = float(probs.max())
     else:
-        worker_probs = assignment.worker_probs(M)
-        gaps = (np.einsum("ikl,i->kl", gap_per_worker, worker_probs)
-                + shift_diff)[None, :, :]
-        second = np.einsum("ikl,i->kl", second_per_worker, worker_probs)[None, :, :]
-        max_q = float(worker_probs.max())
+        probs = assignment.worker_probs(M)[:, None]
+    gaps = np.einsum("ikl,ij->jkl", gap_per_worker, probs) + shift_diff
+    second = np.einsum("ikl,ij->jkl", second_per_worker, probs)
 
     normalized = gaps[:, off_diag] / score_norm
-    tau_min = normalized.min(axis=1)
-    tau_max = normalized.max(axis=1)
     sigma_sq = float(second[:, off_diag].max() / score_norm ** 2)
-    sigma_sq = min(sigma_sq, max_q)  # rounding guard; the true value never exceeds
-    return ScoreQuantities(score_norm, gaps, tau_min, tau_max,
-                           float(tau_min.min()), float(tau_max.max()),
-                           c, sigma_sq)
+    sigma_sq = min(sigma_sq, float(probs.max()))  # rounding guard
+    return ScoreQuantities(score_norm, gaps, normalized.min(axis=1),
+                           normalized.max(axis=1), c, sigma_sq)
 
 
 def quantities_wmv_hds(q: float, weights, accuracies,
@@ -178,6 +171,8 @@ def quantities_wmv_hds(q: float, weights, accuracies,
     """
     if not 0 < q <= 1:
         raise DomainError("assignment probability must lie in (0, 1]")
+    if num_classes < 2:
+        raise DomainError("at least two classes are required")
     weights = np.asarray(weights, dtype=float)
     accuracies = np.asarray(accuracies, dtype=float)
     if weights.shape != accuracies.shape or weights.ndim != 1:
@@ -191,7 +186,7 @@ def quantities_wmv_hds(q: float, weights, accuracies,
     gaps = np.full((1, L, L), gap)
     gaps[:, np.arange(L), np.arange(L)] = 0.0
     tau = np.array([t])
-    return ScoreQuantities(norm, gaps, tau, tau.copy(), t, t,
+    return ScoreQuantities(norm, gaps, tau, tau.copy(),
                            float(np.abs(weights).max() / norm), float(q))
 
 
@@ -213,28 +208,36 @@ def quantities_hyperplane(q_vec, weights, shift, p_plus, p_minus) -> ScoreQuanti
     gap_pos = float(q_vec @ (weights * (2 * p_plus - 1))) + shift
     gap_neg = float(q_vec @ (weights * (2 * p_minus - 1))) - shift
     gaps = np.array([[[0.0, gap_pos], [gap_neg, 0.0]]])
-    t_low = min(gap_pos, gap_neg) / norm
-    t_high = max(gap_pos, gap_neg) / norm
+    tau_min = np.array([min(gap_pos, gap_neg) / norm])
+    tau_max = np.array([max(gap_pos, gap_neg) / norm])
     sigma_sq = float(q_vec @ weights ** 2) / norm ** 2
-    return ScoreQuantities(norm, gaps, np.array([t_low]), np.array([t_high]),
-                           t_low, t_high, float(np.abs(weights).max() / norm),
-                           sigma_sq)
+    return ScoreQuantities(norm, gaps, tau_min, tau_max,
+                           float(np.abs(weights).max() / norm), sigma_sq)
 
 
-def _tail_pair(t: float, sigma_sq: float, c: float, lower_branch: bool) -> tuple:
-    """Gaussian-type and Bernstein-type exponents for a normalised gap t."""
-    gauss = t ** 2 / 2.0
-    denom = 2.0 * (sigma_sq + c * abs(t) / 3.0) if not lower_branch \
-        else 2.0 * (sigma_sq - c * t / 3.0)
-    if denom <= 0:
-        bernstein = math.inf if t != 0 else 0.0
-    else:
-        bernstein = t ** 2 / denom
-    return gauss, bernstein
+def _tails(t_low: float, t_high: float, sigma_sq: float, c: float,
+           num_classes: int) -> tuple:
+    """(upper, upper exponent, lower, lower exponent) for one pair of gap
+    extremes, None where ``t_low >= 0`` resp. ``t_high <= 0`` fails. The
+    exponent at t is max(t^2 / 2, t^2 / (2 (sigma^2 + c |t| / 3))).
+    """
+    def exponent(t):
+        denom = 2.0 * (sigma_sq + c * abs(t) / 3.0)
+        if denom <= 0:
+            return max(t ** 2 / 2.0, math.inf if t != 0 else 0.0)
+        return max(t ** 2 / 2.0, t ** 2 / denom)
+
+    upper = upper_exponent = lower = lower_exponent = None
+    if t_low >= 0:
+        upper_exponent = exponent(t_low)
+        upper = min(1.0, (num_classes - 1) * math.exp(-upper_exponent))
+    if t_high <= 0:
+        lower_exponent = exponent(t_high)
+        lower = max(0.0, 1.0 - math.exp(-lower_exponent))
+    return upper, upper_exponent, lower, lower_exponent
 
 
-def mean_error_bounds(quantities: ScoreQuantities,
-                      num_classes: int | None = None) -> BoundReport:
+def mean_error_bounds(quantities: ScoreQuantities) -> BoundReport:
     """Bounds on the expected error rate from the gap extremes.
 
     A nonnegative ``t_low`` activates the upper bound
@@ -242,58 +245,36 @@ def mean_error_bounds(quantities: ScoreQuantities,
     one; a nonpositive ``t_high`` activates the mirrored lower bound. Raw
     exponents are reported alongside for log-scale plotting.
     """
-    L = num_classes if num_classes is not None else quantities.gaps.shape[1]
-    t_low, t_high = quantities.t_low, quantities.t_high
+    t_low, t_high, L = quantities.t_low, quantities.t_high, quantities.num_classes
     sigma_sq, c = quantities.sigma_sq, quantities.c
-    upper_ok = t_low >= 0
-    lower_ok = t_high <= 0
-    values = {"upper": None, "lower": None,
-              "upper_exponent": None, "lower_exponent": None}
-    if upper_ok:
-        gauss, bernstein = _tail_pair(t_low, sigma_sq, c, lower_branch=False)
-        exponent = max(gauss, bernstein)
-        values["upper"] = min(1.0, (L - 1) * math.exp(-exponent))
-        values["upper_exponent"] = exponent
-    if lower_ok:
-        gauss, bernstein = _tail_pair(t_high, sigma_sq, c, lower_branch=True)
-        exponent = max(gauss, bernstein)
-        values["lower"] = max(0.0, 1.0 - math.exp(-exponent))
-        values["lower_exponent"] = exponent
+    upper, upper_exponent, lower, lower_exponent = _tails(
+        t_low, t_high, sigma_sq, c, L)
     return BoundReport(
         kind="mean-error",
-        condition_holds={"upper": upper_ok, "lower": lower_ok},
-        values=values,
+        condition_holds={"upper": t_low >= 0, "lower": t_high <= 0},
+        values={"upper": upper, "lower": lower,
+                "upper_exponent": upper_exponent,
+                "lower_exponent": lower_exponent},
         inputs={"t_low": t_low, "t_high": t_high, "sigma_sq": sigma_sq,
                 "c": c, "num_classes": L},
     )
 
 
-def per_item_bounds(tau_min, tau_max, c: float, sigma_sq: float,
-                    num_classes: int) -> BoundReport:
-    """The mean-error bound forms applied item by item.
-
-    Accepts scalars or per-item arrays for the gap extremes; with a constant
-    or per-worker assignment the extremes coincide across items and this
-    reduces exactly to the global mean-error bound.
+def per_item_bounds(quantities: ScoreQuantities) -> BoundReport:
+    """The mean-error bound forms applied to each item's own gap extremes
+    (NaN where a hypothesis fails); with a constant or per-worker assignment
+    this reduces exactly to the global mean-error bound.
     """
-    tau_min = np.atleast_1d(np.asarray(tau_min, dtype=float))
-    tau_max = np.atleast_1d(np.asarray(tau_max, dtype=float))
-    L = num_classes
-    upper_ok = tau_min >= 0
-    lower_ok = tau_max <= 0
-    upper = np.full(tau_min.shape, np.nan)
-    lower = np.full(tau_max.shape, np.nan)
-    for j in np.flatnonzero(upper_ok):
-        gauss, bernstein = _tail_pair(float(tau_min[j]), sigma_sq, c, False)
-        upper[j] = min(1.0, (L - 1) * math.exp(-max(gauss, bernstein)))
-    for j in np.flatnonzero(lower_ok):
-        gauss, bernstein = _tail_pair(float(tau_max[j]), sigma_sq, c, True)
-        lower[j] = max(0.0, 1.0 - math.exp(-max(gauss, bernstein)))
+    tau_min, tau_max = quantities.tau_min, quantities.tau_max
+    sigma_sq, c, L = quantities.sigma_sq, quantities.c, quantities.num_classes
+    upper, _, lower, _ = zip(*(_tails(float(low), float(high), sigma_sq, c, L)
+                               for low, high in zip(tau_min, tau_max)))
+    upper, lower = np.array(upper, dtype=float), np.array(lower, dtype=float)
     squeeze = tau_min.size == 1
     return BoundReport(
         kind="per-item",
-        condition_holds={"upper": bool(upper_ok.all()),
-                         "lower": bool(lower_ok.all())},
+        condition_holds={"upper": bool((tau_min >= 0).all()),
+                         "lower": bool((tau_max <= 0).all())},
         values={"upper": float(upper[0]) if squeeze else upper,
                 "lower": float(lower[0]) if squeeze else lower},
         inputs={"tau_min": tau_min if not squeeze else float(tau_min[0]),
@@ -307,8 +288,7 @@ def _clip_unit(p: float) -> float:
 
 
 def high_probability_bound(quantities: ScoreQuantities, num_items: int,
-                           epsilon: float,
-                           num_classes: int | None = None) -> BoundReport:
+                           epsilon: float) -> BoundReport:
     """Probability guarantees that the realised error rate stays below (or
     above) ``epsilon``.
 
@@ -322,7 +302,7 @@ def high_probability_bound(quantities: ScoreQuantities, num_items: int,
         raise DomainError("epsilon must lie strictly inside (0, 1)")
     if num_items < 1:
         raise DomainError("at least one item is required")
-    L = num_classes if num_classes is not None else quantities.gaps.shape[1]
+    L = quantities.num_classes
     t_low, t_high = quantities.t_low, quantities.t_high
     upper_threshold = math.sqrt(2 * math.log((L - 1) / epsilon))
     lower_threshold = -math.sqrt(2 * math.log(1.0 / (1.0 - epsilon)))
@@ -392,6 +372,8 @@ def mv_bounds_hds(q: float, mean_accuracy: float, num_workers: int,
         raise DomainError("assignment probability must lie in (0, 1]")
     if num_workers < 1:
         raise DomainError("at least one worker is required")
+    if num_classes < 2:
+        raise DomainError("at least two classes are required")
     L = num_classes
     margin = mean_accuracy - 1.0 / L
     holds = margin > 0
@@ -414,20 +396,7 @@ def mv_bounds_hds(q: float, mean_accuracy: float, num_workers: int,
     )
 
 
-@dataclass(frozen=True)
-class OneStepBoundInputs:
-    """Derived inputs of the one-step reweighted-vote bound."""
-
-    num_workers: int
-    num_items: int
-    accuracies: np.ndarray
-    rho: float
-    eta: float
-
-
-def one_step_wmv_bound(accuracies, num_items: int,
-                       rho_convention: str = "proof",
-                       num_classes: int = 2) -> BoundReport:
+def one_step_wmv_bound(accuracies, num_items: int) -> BoundReport:
     """Mean-error bound for the one-step reweighted vote (binary, every
     entry observed).
 
@@ -439,14 +408,9 @@ def one_step_wmv_bound(accuracies, num_items: int,
         bound = exp(-N^2 G^2 / (2 M (M^2 N + (M + N)^2))),
         G = (1 - eta) * sum_i (2 w_i - 1)^2.
 
-    Two conventions for the reported accuracy-spread rho circulate (they
-    differ by a factor of two); the choice only affects the reported rho,
-    never the bound value, which always follows the chain above.
+    The reported rho = sqrt(sum_i (2 w_i - 1)^2 / M) is the proof's
+    accuracy spread; the theorem's statement writes half of it.
     """
-    if num_classes != 2:
-        raise NotBinary("the one-step bound is stated for two classes")
-    if rho_convention not in ("proof", "statement"):
-        raise DomainError(f"unknown rho convention {rho_convention!r}")
     w = np.asarray(accuracies, dtype=float)
     if w.ndim != 1 or w.size < 2:
         raise DomainError("need a vector of at least two worker accuracies")
@@ -462,8 +426,7 @@ def one_step_wmv_bound(accuracies, num_items: int,
     margin = wbar - 0.5 - 1.0 / M
     eta = 2.0 * math.exp(-2.0 * M ** 2 * margin ** 2 / (M - 1))
     gap_mass = float(((2 * w - 1) ** 2).sum())
-    rho_proof = math.sqrt(gap_mass / M)
-    rho = rho_proof if rho_convention == "proof" else rho_proof / 2.0
+    rho = math.sqrt(gap_mass / M)
     values = {"bound": None, "exponent": None, "rho": rho, "eta": eta}
     if holds:
         score_gap = (1.0 - eta) * gap_mass
@@ -471,12 +434,10 @@ def one_step_wmv_bound(accuracies, num_items: int,
             2.0 * M * (M ** 2 * N + (M + N) ** 2))
         values["bound"] = min(1.0, math.exp(-exponent))
         values["exponent"] = exponent
-    derived = OneStepBoundInputs(M, N, w, rho, eta)
     return BoundReport(
         kind="one-step-wmv",
         condition_holds={"upper": holds},
         values=values,
         thresholds={"mean_accuracy": threshold},
-        inputs={"num_workers": M, "num_items": N, "mean_accuracy": wbar,
-                "rho_convention": rho_convention, "derived": derived},
+        inputs={"num_workers": M, "num_items": N, "mean_accuracy": wbar},
     )

@@ -20,6 +20,7 @@ from .core import (AssignmentModel, DecomposableRule, DimensionMismatch,
 from .harness import (
     METHODS,
     ExperimentConfig,
+    _reject_unknown_keys,
     load_labels,
     load_truth,
     run_experiment,
@@ -115,13 +116,51 @@ def _general_rule(scores, shifts) -> DecomposableRule:
     return DecomposableRule(scores[:, :, 1:].transpose(0, 2, 1), shifts)
 
 
+def _is_array(value) -> bool:
+    """A JSON number or a (nested) list of numbers, as numpy reads them."""
+    return type(value) in (int, float) or (type(value) is list
+                                           and all(map(_is_array, value)))
+
+
+# JSON kinds of the ``--params`` values (``type`` checks keep bools out).
+_KINDS = {"integer": lambda value: type(value) is int,
+          "number": lambda value: type(value) in (int, float),
+          "array": _is_array, "string": lambda value: type(value) is str}
+# The keys each bounds scenario reads from ``--params``, with their JSON kinds.
+BOUND_SCENARIOS = {
+    "wmv-hds": {"q": "number", "weights": "array", "accuracies": "array",
+                "L": "integer", "N": "integer"},
+    "hyperplane": {"q": "array", "weights": "array", "shift": "number",
+                   "p_plus": "array", "p_minus": "array", "N": "integer"},
+    "mv-hds": {"q": "number", "mean_accuracy": "number", "M": "integer",
+               "L": "integer"},
+    "oswmv": {"accuracies": "array", "N": "integer"},
+    "general": {"scores": "array", "shifts": "array",
+                "assignment_kind": "string", "assignment": "array",
+                "tables": "array", "N": "integer"},
+}
+
+
+def _bound_params(scenario: str, text: str) -> dict:
+    """``--params`` checked against the scenario's keys and their kinds."""
+    params = json.loads(text)
+    if not isinstance(params, dict):
+        raise UsageError("--params must be a JSON object")
+    kinds = BOUND_SCENARIOS[scenario]
+    _reject_unknown_keys(f"{scenario!r} --params", params, kinds)
+    for key, value in params.items():
+        if not _KINDS[kinds[key]](value):
+            raise UsageError(f"parameter {key!r} must be a JSON {kinds[key]}")
+    return params
+
+
 def _cmd_bounds(args) -> int:
-    params = json.loads(args.params)
     scenario = args.scenario
+    params = _bound_params(scenario, args.params)
     if scenario == "wmv-hds":
         quantities = bnd.quantities_wmv_hds(
             params["q"], params["weights"], params["accuracies"], params["L"])
-        report = bnd.mean_error_bounds(quantities, params["L"])
+        report = bnd.mean_error_bounds(quantities)
     elif scenario == "mv-hds":
         report = bnd.mv_bounds_hds(params["q"], params["mean_accuracy"],
                                    params["M"], params["L"])
@@ -129,20 +168,16 @@ def _cmd_bounds(args) -> int:
         quantities = bnd.quantities_hyperplane(
             params["q"], params["weights"], params.get("shift", 0.0),
             params["p_plus"], params["p_minus"])
-        report = bnd.mean_error_bounds(quantities, 2)
+        report = bnd.mean_error_bounds(quantities)
     elif scenario == "oswmv":
-        report = bnd.one_step_wmv_bound(
-            params["accuracies"], params["N"],
-            rho_convention=params.get("rho_convention", "proof"))
-    elif scenario == "general":
+        report = bnd.one_step_wmv_bound(params["accuracies"], params["N"])
+    else:
         rule = _general_rule(params["scores"], params["shifts"])
         assignment = AssignmentModel(params.get("assignment_kind", "constant"),
                                      params["assignment"])
         model = WorkerModel.gds(np.asarray(params["tables"], dtype=float))
         quantities = bnd.score_quantities(rule, assignment, model)
         report = bnd.mean_error_bounds(quantities)
-    else:
-        raise UsageError(f"unknown bounds scenario {scenario!r}")
     extra = {}
     if args.epsilon is not None:
         if scenario in ("mv-hds", "oswmv"):
@@ -218,9 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     agg.set_defaults(func=_cmd_aggregate)
 
     bds = sub.add_parser("bounds", help="evaluate closed-form bounds")
-    bds.add_argument("--scenario", required=True,
-                     choices=["wmv-hds", "hyperplane", "mv-hds", "oswmv",
-                              "general"])
+    bds.add_argument("--scenario", required=True, choices=list(BOUND_SCENARIOS))
     bds.add_argument("--params", required=True,
                      help="JSON object with the scenario's parameters")
     bds.add_argument("--epsilon", type=float, default=None,

@@ -261,6 +261,9 @@ _SIM_DEFAULTS = {"M": 31, "N": 200, "L": 3, "q": 0.3, "beta_a": 2.3,
 _MISSPEC_DEFAULTS = {"M1": 15, "M2": 15, "N1": 300, "N2": 300,
                      "block": [[0.9, 0.6], [0.5, 0.7]], "q": 0.3}
 _DATASET_KEYS = ("path", "format", "truth", "L", "binary")
+# The sweep variables each scenario reads ("none": the grid only repeats).
+_SWEEP_VARIABLES = {"hds-sweep": ("wbar", "M", "N", "q", "none"),
+                    "misspecified": ("none",), "dataset": ("s",)}
 _CONFIG_KEYS = ("scenario", "methods", "trials", "sweep", "master_seed",
                 "output", "sim", "misspec", "dataset", "record_timing",
                 "fixed_iterations")
@@ -302,9 +305,8 @@ def _vote_bound(weight_map, labels, accuracies, q):
     """Mean-error bound columns of weighted voting with the weights
     ``weight_map(accuracies, L)``."""
     L = labels.num_classes
-    quantities = bnd.quantities_wmv_hds(q, weight_map(accuracies, L),
-                                        accuracies, L)
-    report = bnd.mean_error_bounds(quantities, L)
+    report = bnd.mean_error_bounds(bnd.quantities_wmv_hds(
+        q, weight_map(accuracies, L), accuracies, L))
     return (report.values["upper"], report.values["lower"],
             report.condition_holds["upper"])
 
@@ -359,8 +361,9 @@ class ExperimentConfig:
     """A full experiment: scenario, sweep grid, methods and seeding.
 
     ``scenario`` is one of ``hds-sweep`` (synthetic single-accuracy data,
-    sweeping one of wbar/M/N/q), ``misspecified`` (block-accuracy data,
-    sweep ignored) and ``dataset`` (a labels file subsampled at rate s).
+    sweeping one of wbar/M/N/q, or none), ``misspecified`` (block-accuracy
+    data, sweep variable none) and ``dataset`` (a labels file subsampled at
+    rate s); any other sweep variable is rejected.
     """
 
     scenario: str
@@ -377,7 +380,7 @@ class ExperimentConfig:
     fixed_iterations: int | None = None
 
     def __post_init__(self):
-        if self.scenario not in ("hds-sweep", "misspecified", "dataset"):
+        if self.scenario not in _SWEEP_VARIABLES:
             raise DomainError(f"unknown scenario {self.scenario!r}")
         if self.trials < 1:
             raise DomainError("at least one trial is required")
@@ -388,8 +391,15 @@ class ExperimentConfig:
             raise DomainError(f"unknown methods: {unknown}")
         if not self.sweep_grid:
             raise DomainError("the sweep grid must not be empty")
-        if self.sweep_variable not in ("wbar", "M", "N", "q", "s", "none"):
-            raise DomainError(f"unknown sweep variable {self.sweep_variable!r}")
+        if self.sweep_variable not in _SWEEP_VARIABLES[self.scenario]:
+            raise DomainError(f"the {self.scenario!r} scenario cannot sweep "
+                              f"{self.sweep_variable!r}")
+        if self.sweep_variable in ("M", "N") and not all(
+                float(value).is_integer() for value in self.sweep_grid):
+            raise DomainError(f"{self.sweep_variable} values must be integers")
+        if self.fixed_iterations is not None and not (
+                type(self.fixed_iterations) is int and self.fixed_iterations > 0):
+            raise DomainError("fixed_iterations must be a positive integer")
         _reject_unknown_keys("sim", self.sim, _SIM_DEFAULTS)
         _reject_unknown_keys("misspec", self.misspec, _MISSPEC_DEFAULTS)
         _reject_unknown_keys("dataset", self.dataset, _DATASET_KEYS)
@@ -424,13 +434,8 @@ def _hds_trial_data(config: ExperimentConfig, sweep_value, seed: int):
     """Simulate one trial of an hds-sweep scenario: labels, truth, the true
     accuracies and the label probability q."""
     sim = {**_SIM_DEFAULTS, **config.sim}
-    var = config.sweep_variable
-    if var in ("M", "N"):
-        sim[var] = int(sweep_value)
-    elif var == "q":
-        sim["q"] = float(sweep_value)
-    elif var == "wbar":
-        sim["wbar"] = float(sweep_value)
+    if config.sweep_variable != "none":  # one of wbar, M, N, q
+        sim[config.sweep_variable] = sweep_value
     M, N, L, q = int(sim["M"]), int(sim["N"]), int(sim["L"]), float(sim["q"])
     if sim["wbar"] is not None:
         target = float(sim["wbar"])

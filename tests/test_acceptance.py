@@ -66,8 +66,7 @@ def test_criterion_2_per_item_bound_against_enumeration():
     def upper_bound(accuracies):
         sq = cb.score_quantities(rule, assignment,
                                  cb.WorkerModel.hds(list(accuracies), 2))
-        return cb.per_item_bounds(sq.tau_min, sq.tau_max, sq.c, sq.sigma_sq,
-                                  2).values["upper"]
+        return cb.per_item_bounds(sq).values["upper"]
 
     # hand-derived anchors at w = (0.6, 0.6, 0.6)
     exact = exact_mv_error([0.6] * 3)

@@ -9,7 +9,6 @@ from crowdbounds.core import (
     AssignmentModel,
     DecomposableRule,
     DomainError,
-    NotBinary,
     Prior,
     WorkerModel,
     error_rate,
@@ -234,20 +233,35 @@ class TestQuantitiesHyperplane:
 class TestMeanErrorBounds:
     def test_hand_case(self):
         sq = quantities_wmv_hds(1.0, [1.0, 1.0], [0.8, 0.6], 2)
-        report = mean_error_bounds(sq, 2)
+        report = mean_error_bounds(sq)
         assert report.condition_holds["upper"]
         assert report.values["upper"] == pytest.approx(math.exp(-0.16), abs=1e-12)
 
+    def test_bernstein_branch_hand_values(self):
+        # Sparse labels keep sigma^2 = q small, so the Bernstein-type
+        # exponent beats the Gaussian one in both tails: t = +-0.32, c = 1/2.
+        for accuracy, side in ((0.9, "upper"), (0.1, "lower")):
+            sq = quantities_wmv_hds(0.2, np.ones(4), np.full(4, accuracy), 2)
+            t = 0.2 * 4 * (2 * accuracy - 1) / 2
+            exponent = t ** 2 / (2 * (0.2 + 0.5 * abs(t) / 3))
+            assert exponent > t ** 2 / 2
+            report = mean_error_bounds(sq)
+            assert report.values[f"{side}_exponent"] == pytest.approx(
+                exponent, rel=1e-12)
+            expected = (math.exp(-exponent) if side == "upper"
+                        else 1 - math.exp(-exponent))
+            assert report.values[side] == pytest.approx(expected, rel=1e-12)
+
     def test_negative_gap_disables_upper_branch(self):
         sq = quantities_wmv_hds(1.0, [1.0, 1.0], [0.3, 0.3], 2)
-        report = mean_error_bounds(sq, 2)
+        report = mean_error_bounds(sq)
         assert not report.condition_holds["upper"]
         assert report.values["upper"] is None
         assert report.condition_holds["lower"]
 
     def test_zero_gap_is_vacuous(self):
         sq = quantities_wmv_hds(1.0, [1.0, 1.0], [0.5, 0.5], 2)
-        report = mean_error_bounds(sq, 2)
+        report = mean_error_bounds(sq)
         assert report.values["upper"] == 1.0
         assert report.values["lower"] == 0.0
 
@@ -259,13 +273,12 @@ class TestMeanErrorBounds:
             gaps = np.full((1, 3, 3), t)
             gaps[:, np.arange(3), np.arange(3)] = 0.0
             return ScoreQuantities(1.0, gaps, np.array([t]), np.array([t]),
-                                   t, t, 0.4, 0.7)
+                                   0.4, 0.7)
 
         previous = 2.0
         for t in np.linspace(0.0, 5.0, 60):
-            report = mean_error_bounds(quantities_at(float(t)), 3)
-            item_report = per_item_bounds(t, t, c=0.4, sigma_sq=0.7,
-                                          num_classes=3)
+            report = mean_error_bounds(quantities_at(float(t)))
+            item_report = per_item_bounds(quantities_at(float(t)))
             assert report.values["upper"] == pytest.approx(
                 item_report.values["upper"], abs=1e-15)
             assert report.values["upper"] <= previous + 1e-12
@@ -275,16 +288,15 @@ class TestMeanErrorBounds:
 class TestPerItemBounds:
     def test_matches_mean_bound_when_assignment_is_constant(self):
         sq = quantities_wmv_hds(0.6, [1.0, 2.0, 0.5], [0.7, 0.8, 0.6], 3)
-        mean_report = mean_error_bounds(sq, 3)
-        item_report = per_item_bounds(sq.tau_min, sq.tau_max, sq.c,
-                                      sq.sigma_sq, 3)
+        mean_report = mean_error_bounds(sq)
+        item_report = per_item_bounds(sq)
         assert item_report.values["upper"] == pytest.approx(
             mean_report.values["upper"], abs=1e-15)
 
     def test_three_worker_majority_vote_case(self):
         sq = score_quantities(mv_rule(3, 2), AssignmentModel.constant(1.0),
                               WorkerModel.hds([0.6] * 3, 2))
-        report = per_item_bounds(sq.tau_min, sq.tau_max, sq.c, sq.sigma_sq, 2)
+        report = per_item_bounds(sq)
         expected = min(math.exp(-0.06), math.exp(-0.05625))
         assert report.values["upper"] == pytest.approx(expected, abs=1e-12)
         assert report.values["upper"] == pytest.approx(0.9418, abs=5e-5)
@@ -292,7 +304,11 @@ class TestPerItemBounds:
         assert exact_mv_error([0.6] * 3) <= report.values["upper"]
 
     def test_strongly_negative_gap_saturates_lower_bound(self):
-        report = per_item_bounds(-50.0, -50.0, c=0.5, sigma_sq=1.0, num_classes=2)
+        from crowdbounds.bounds import ScoreQuantities
+        tau = np.array([-50.0])
+        sq = ScoreQuantities(1.0, np.array([[[0.0, -50.0], [-50.0, 0.0]]]),
+                             tau, tau, 0.5, 1.0)
+        report = per_item_bounds(sq)
         assert report.values["lower"] == pytest.approx(1.0, abs=1e-12)
 
     def test_enumeration_never_beats_the_bound_small_m(self):
@@ -302,8 +318,7 @@ class TestPerItemBounds:
             for combo in itertools.product(pool, repeat=M):
                 sq = score_quantities(mv_rule(M, 2), AssignmentModel.constant(1.0),
                                       WorkerModel.hds(list(combo), 2))
-                report = per_item_bounds(sq.tau_min, sq.tau_max, sq.c,
-                                         sq.sigma_sq, 2)
+                report = per_item_bounds(sq)
                 assert exact_mv_error(combo) <= report.values["upper"] + 1e-12
 
 
@@ -315,7 +330,7 @@ class TestHighProbabilityBound:
         t = math.sqrt(2 * math.log(1 / 0.3))
         gaps = np.array([[[0.0, t], [t, 0.0]]])
         sq = ScoreQuantities(1.0, gaps, np.array([t]), np.array([t]),
-                             t, t, 1.0, 1.0)
+                             1.0, 1.0)
         report = high_probability_bound(sq, num_items=100, epsilon=0.3)
         assert report.condition_holds["upper"]
         assert report.values["upper_guarantee"] == pytest.approx(0.0, abs=1e-9)
@@ -338,6 +353,11 @@ class TestHighProbabilityBound:
         report = high_probability_bound(sq, num_items=200, epsilon=0.3)
         assert report.condition_holds["lower"]
         assert 0 < report.values["lower_guarantee"] <= 1
+        few = high_probability_bound(sq, num_items=3, epsilon=0.3)
+        expected = 1.0 - math.exp(
+            -3 * bernoulli_kl(0.3, 1.0 - math.exp(-2.0)))
+        assert few.values["lower_guarantee"] == pytest.approx(
+            expected, rel=1e-12)
 
     def test_epsilon_domain(self):
         sq = quantities_wmv_hds(1.0, [1.0], [0.8], 2)
@@ -418,14 +438,6 @@ class TestOneStepWmvBound:
         assert report.values["eta"] == pytest.approx(eta, rel=1e-12)
         assert report.values["bound"] == pytest.approx(expected, rel=1e-12)
 
-    def test_rho_conventions_differ_by_factor_two_only(self):
-        w = np.linspace(0.7, 0.95, 12)
-        proof = one_step_wmv_bound(w, 300, rho_convention="proof")
-        statement = one_step_wmv_bound(w, 300, rho_convention="statement")
-        assert proof.values["rho"] == pytest.approx(
-            2 * statement.values["rho"], rel=1e-12)
-        assert proof.values["bound"] == statement.values["bound"]
-
     def test_eta_shrinks_with_more_workers(self):
         etas = [one_step_wmv_bound(np.full(m, 0.8), 100).values["eta"]
                 for m in (10, 20, 50, 200)]
@@ -435,10 +447,6 @@ class TestOneStepWmvBound:
         report = one_step_wmv_bound(np.full(15, 0.55), 100)
         assert not report.condition_holds["upper"]
         assert report.values["bound"] is None
-
-    def test_not_binary(self):
-        with pytest.raises(NotBinary):
-            one_step_wmv_bound(np.full(5, 0.8), 100, num_classes=3)
 
 
 def simulate_hds_error(accuracies, weights, L, q, trials, items, seed0):
@@ -460,7 +468,7 @@ class TestBoundsAgainstMonteCarlo:
         accuracies = rng.uniform(0.45, 0.9, 7)
         weights = bound_optimal_weights(accuracies, 3)
         sq = quantities_wmv_hds(0.6, weights, accuracies, 3)
-        report = mean_error_bounds(sq, 3)
+        report = mean_error_bounds(sq)
         assert report.condition_holds["upper"]
         observed, n = simulate_hds_error(accuracies, weights, 3, 0.6,
                                          trials=100, items=100, seed0=100)
@@ -471,7 +479,7 @@ class TestBoundsAgainstMonteCarlo:
         accuracies = np.full(9, 0.35)
         weights = np.ones(9)
         sq = quantities_wmv_hds(0.8, weights, accuracies, 2)
-        report = mean_error_bounds(sq, 2)
+        report = mean_error_bounds(sq)
         assert report.condition_holds["lower"]
         observed, n = simulate_hds_error(accuracies, weights, 2, 0.8,
                                          trials=100, items=100, seed0=300)
@@ -487,7 +495,7 @@ class TestBoundsAgainstMonteCarlo:
         weights = np.ones(M)
         shift = 0.3
         sq = quantities_hyperplane(q_vec, weights, shift, p_plus, p_minus)
-        report = mean_error_bounds(sq, 2)
+        report = mean_error_bounds(sq)
         assert report.condition_holds["upper"]
         tables = np.stack([np.stack([p_plus, 1 - p_plus], axis=1),
                            np.stack([1 - p_minus, p_minus], axis=1)], axis=1)

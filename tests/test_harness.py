@@ -344,6 +344,53 @@ class TestRunExperiment:
         config.write_text(json.dumps({**raw, "trails": 5}))
         assert main(["experiment", "--config", str(config)]) == 1
 
+    def test_sweep_must_match_the_scenario(self, tmp_path):
+        """Each scenario reads its own sweep variables; M and N values are
+        whole numbers. Anything else is rejected, not ignored or cut."""
+        labels_path = tmp_path / "labels.csv"
+        make_fixture(labels_path, 6, 30, 90, 2, seed=7)
+        dataset = {"scenario": "dataset", "methods": ["mv"],
+                   "dataset": {"path": str(labels_path), "L": 2}}
+        sweep = {"scenario": "hds-sweep", "methods": ["mv"],
+                 "sim": {"M": 5, "N": 20, "L": 2, "q": 0.5}}
+        misspecified = {"scenario": "misspecified", "methods": ["mv"]}
+        bad = [(dataset, None), (dataset, {"variable": "wbar", "grid": [0.5]}),
+               (sweep, {"variable": "s", "grid": [0.5]}),
+               (misspecified, {"variable": "q", "grid": [0.5]}),
+               (sweep, {"variable": "M", "grid": [5, 10.7]}),
+               (sweep, {"variable": "N", "grid": [20.5]})]
+        for raw, grid in bad:
+            raw = {**raw, **({"sweep": grid} if grid else {})}
+            with pytest.raises(DomainError):
+                ExperimentConfig.from_dict(raw)
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(raw))
+            assert main(["experiment", "--config", str(config)]) == 1, grid
+        good = [(dataset, {"variable": "s", "grid": [1.0]}), (sweep, None),
+                (sweep, {"variable": "M", "grid": [5, 7.0]}),
+                (misspecified, None)]
+        for raw, grid in good:
+            raw = {**raw, **({"sweep": grid} if grid else {})}
+            if raw["scenario"] == "misspecified":
+                raw["misspec"] = {"M1": 3, "M2": 3, "N1": 10, "N2": 10}
+            rows = run_experiment(ExperimentConfig.from_dict(raw))
+            assert all(r.error is None for r in rows), raw
+
+    def test_fixed_iterations_must_be_a_positive_integer(self, tmp_path):
+        for value in (0, -2, "3", 2.5, True, [3]):
+            with pytest.raises(DomainError, match="fixed_iterations"):
+                small_sweep_config(fixed_iterations=value)
+        raw = {"scenario": "hds-sweep", "methods": ["iwmv"],
+               "sweep": {"variable": "wbar", "grid": [0.7]},
+               "sim": {"M": 5, "N": 20, "L": 2, "q": 0.5},
+               "fixed_iterations": "3"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert main(["experiment", "--config", str(config)]) == 1
+        rows = run_experiment(small_sweep_config(methods=("iwmv",),
+                                                 fixed_iterations=1))
+        assert all(r.iterations == 1 for r in rows)
+
     def test_config_json_round_trip(self, tmp_path):
         raw = {"scenario": "hds-sweep", "methods": ["mv"], "trials": 1,
                "sweep": {"variable": "wbar", "grid": [0.7]},
@@ -410,25 +457,84 @@ class TestCli:
         assert (tmp_path / "res.jsonl").exists()
 
     def test_all_bounds_scenarios(self, capsys):
+        """Every scenario exits 0, and each report's keys are pinned so that
+        a change of the JSON format is deliberate."""
+        mean_error = {
+            "condition_holds": {"upper", "lower"},
+            "values": {"upper", "lower", "upper_exponent", "lower_exponent"},
+            "thresholds": set(),
+            "inputs": {"t_low", "t_high", "sigma_sq", "c", "num_classes"}}
         scenarios = {
-            "wmv-hds": {"q": 1.0, "weights": [1, 1],
-                        "accuracies": [0.8, 0.6], "L": 2},
-            "hyperplane": {"q": [1, 1], "weights": [1, 1],
-                           "p_plus": [0.8, 0.7], "p_minus": [0.6, 0.9],
-                           "N": 100},
-            "oswmv": {"accuracies": [0.8] * 15, "N": 2000},
-            "general": {"scores": [[[0, 1, 0], [0, 0, 1]],
-                                   [[0, 1, 0], [0, 0, 1]]],
-                        "shifts": [0, 0], "assignment_kind": "constant",
-                        "assignment": 1.0,
-                        "tables": [[[0.8, 0.2], [0.2, 0.8]],
-                                   [[0.6, 0.4], [0.4, 0.6]]], "N": 200},
+            "wmv-hds": ({"q": 1.0, "weights": [1, 1],
+                         "accuracies": [0.8, 0.6], "L": 2}, mean_error),
+            "hyperplane": ({"q": [1, 1], "weights": [1, 1], "shift": 0.2,
+                            "p_plus": [0.8, 0.7], "p_minus": [0.6, 0.9],
+                            "N": 100}, mean_error),
+            "mv-hds": ({"q": 1.0, "mean_accuracy": 0.7, "M": 10, "L": 2}, {
+                "condition_holds": {"upper"},
+                "values": {"quadratic", "linear", "linear_tighter",
+                           "quadratic_exponent", "linear_exponent"},
+                "thresholds": set(),
+                "inputs": {"q", "mean_accuracy", "num_workers",
+                           "num_classes"}}),
+            "oswmv": ({"accuracies": [0.8] * 15, "N": 2000}, {
+                "condition_holds": {"upper"},
+                "values": {"bound", "exponent", "rho", "eta"},
+                "thresholds": {"mean_accuracy"},
+                "inputs": {"num_workers", "num_items", "mean_accuracy"}}),
+            "general": ({"scores": [[[0, 1, 0], [0, 0, 1]],
+                                    [[0, 1, 0], [0, 0, 1]]],
+                         "shifts": [0, 0], "assignment_kind": "constant",
+                         "assignment": 1.0,
+                         "tables": [[[0.8, 0.2], [0.2, 0.8]],
+                                    [[0.6, 0.4], [0.4, 0.6]]], "N": 200},
+                        mean_error),
         }
-        for scenario, params in scenarios.items():
+        for scenario, (params, keys) in scenarios.items():
             rc = main(["bounds", "--scenario", scenario,
                        "--params", json.dumps(params)])
             assert rc == 0, scenario
-            json.loads(capsys.readouterr().out)
+            report = json.loads(capsys.readouterr().out)
+            assert set(report) == {"kind", *keys}, scenario
+            for section, names in keys.items():
+                assert set(report[section]) == names, (scenario, section)
+
+    def test_bounds_params_are_checked(self, capsys):
+        """Unknown keys, a non-object, wrongly typed values and fewer than
+        two classes exit 1 with a message naming the problem."""
+        wmv = {"q": 1.0, "weights": [1, 1], "accuracies": [0.8, 0.6], "L": 2}
+        hyperplane = {"q": [1, 1], "weights": [1, 1], "p_plus": [0.8, 0.7],
+                      "p_minus": [0.6, 0.9]}
+        mv = {"q": 1.0, "mean_accuracy": 0.7, "M": 10, "L": 2}
+        oswmv = {"accuracies": [0.8] * 15, "N": 2000}
+        cases = [
+            ("hyperplane", {**hyperplane, "shfit": 5}, "'shfit'"),
+            ("oswmv", {**oswmv, "rho_convention": "proof"}, "'rho_convention'"),
+            ("mv-hds", {**mv, "N": 100}, "'N'"),
+            ("wmv-hds", [1, 2], "JSON object"),
+            ("wmv-hds", {**wmv, "q": "x"}, "'q'"),
+            ("wmv-hds", {**wmv, "L": 2.0}, "'L'"),
+            ("wmv-hds", {**wmv, "L": True}, "'L'"),
+            ("wmv-hds", {**wmv, "weights": [1, "1"]}, "'weights'"),
+            ("hyperplane", {**hyperplane, "shift": [0.1]}, "'shift'"),
+            ("mv-hds", {**mv, "M": 10.5}, "'M'"),
+            ("oswmv", {**oswmv, "N": None}, "'N'"),
+            ("wmv-hds", {**wmv, "L": 1}, "two classes"),
+            ("mv-hds", {**mv, "L": 1}, "two classes"),
+            ("mv-hds", {**mv, "L": 1, "mean_accuracy": 1.5}, "two classes"),
+        ]
+        for scenario, params, message in cases:
+            rc = main(["bounds", "--scenario", scenario,
+                       "--params", json.dumps(params)])
+            assert rc == 1, (scenario, params)
+            assert message in capsys.readouterr().err, (scenario, params)
+        # the same inputs without the fault pass
+        for scenario, params in (("hyperplane", {**hyperplane, "shift": 5}),
+                                 ("wmv-hds", wmv), ("mv-hds", mv),
+                                 ("oswmv", oswmv)):
+            assert main(["bounds", "--scenario", scenario,
+                         "--params", json.dumps(params)]) == 0, scenario
+        capsys.readouterr()
 
     def test_general_scores_keep_the_missing_column(self, capsys):
         """``general`` reads (M, L, L + 1) scores whose column h = 0 holds
