@@ -11,13 +11,11 @@ from .core import (
     LabelSet,
     LengthMismatch,
     NotBinary,
-    OutOfRangeLabel,
     Prior,
     WorkerModel,
     argmax_labels,
     error_rate,
     posterior,
-    validate_label_matrix,
 )
 from .simulate import (
     RejectionBudgetExceeded,

@@ -23,6 +23,7 @@ from .core import (
     Prior,
     WorkerModel,
     argmax_labels,
+    check_accuracies,
 )
 
 
@@ -101,10 +102,7 @@ def bound_optimal_weights(accuracies, num_classes: int) -> np.ndarray:
     choices, hence minimise the mean-error upper bound; adversarial workers
     (w < 1/L) get negative weight.
     """
-    w = np.asarray(accuracies, dtype=float)
-    if w.size and (w.min() < 0 or w.max() > 1):
-        raise DomainError("accuracies must lie in [0, 1]")
-    return num_classes * w - 1.0
+    return num_classes * check_accuracies(accuracies) - 1.0
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .core import (
     DimensionMismatch,
     DomainError,
     WorkerModel,
+    check_accuracies,
 )
 
 KL_CLIP = 1e-12
@@ -174,7 +175,7 @@ def quantities_wmv_hds(q: float, weights, accuracies,
     if num_classes < 2:
         raise DomainError("at least two classes are required")
     weights = np.asarray(weights, dtype=float)
-    accuracies = np.asarray(accuracies, dtype=float)
+    accuracies = check_accuracies(accuracies)
     if weights.shape != accuracies.shape or weights.ndim != 1:
         raise DimensionMismatch("weights and accuracies must be equal-length vectors")
     norm = float(np.linalg.norm(weights))
@@ -202,6 +203,10 @@ def quantities_hyperplane(q_vec, weights, shift, p_plus, p_minus) -> ScoreQuanti
             or weights.ndim != 1:
         raise DimensionMismatch("assignment, weights and accuracies must be "
                                 "equal-length vectors")
+    if not ((q_vec > 0) & (q_vec <= 1)).all():
+        raise DomainError("assignment probability must lie in (0, 1]")
+    check_accuracies(p_plus)
+    check_accuracies(p_minus)
     norm = float(np.linalg.norm(weights))
     if norm == 0:
         raise DomainError("an all-zero weight vector has no normalised gap")
@@ -374,6 +379,7 @@ def mv_bounds_hds(q: float, mean_accuracy: float, num_workers: int,
         raise DomainError("at least one worker is required")
     if num_classes < 2:
         raise DomainError("at least two classes are required")
+    check_accuracies(mean_accuracy)
     L = num_classes
     margin = mean_accuracy - 1.0 / L
     holds = margin > 0
@@ -411,11 +417,9 @@ def one_step_wmv_bound(accuracies, num_items: int) -> BoundReport:
     The reported rho = sqrt(sum_i (2 w_i - 1)^2 / M) is the proof's
     accuracy spread; the theorem's statement writes half of it.
     """
-    w = np.asarray(accuracies, dtype=float)
+    w = check_accuracies(accuracies)
     if w.ndim != 1 or w.size < 2:
         raise DomainError("need a vector of at least two worker accuracies")
-    if w.min() < 0 or w.max() > 1:
-        raise DomainError("accuracies must lie in [0, 1]")
     if num_items < 1:
         raise DomainError("at least one item is required")
     M = w.size

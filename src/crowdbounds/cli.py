@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -18,6 +19,7 @@ from . import bounds as bnd
 from .core import (AssignmentModel, DecomposableRule, DimensionMismatch,
                    DomainError, LabelSet, Prior, WorkerModel, error_rate)
 from .harness import (
+    LABEL_FORMATS,
     METHODS,
     ExperimentConfig,
     _reject_unknown_keys,
@@ -27,7 +29,6 @@ from .harness import (
     subsample_labels,
     summarize_dataset,
     summarize_rows,
-    write_results,
 )
 from .simulate import SimConfig, sample_workers_beta, simulate_dataset
 
@@ -83,7 +84,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     label_set = LabelSet(args.classes, args.binary)
-    labels, _, item_ids = load_labels(args.infile, args.format, label_set)
+    labels, _, item_ids = load_labels(args.infile, args.format,
+                                      label_set=label_set)
     predictions, iterations = METHODS[args.method].run(labels, None, {})
     if args.out:
         _write_csv(args.out, ["item", "label"], item_ids,
@@ -193,16 +195,17 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config)
+    if args.out:
+        config = dataclasses.replace(config, output=args.out)
     rows = run_experiment(config)
-    if not config.output and args.out:
-        write_results(rows, args.out)
     print(json.dumps(summarize_rows(rows), indent=2))
     return 0
 
 
 def _cmd_summarize(args) -> int:
     label_set = LabelSet(args.classes, args.binary)
-    labels, _, item_ids = load_labels(args.infile, args.format, label_set)
+    labels, _, item_ids = load_labels(args.infile, args.format,
+                                      label_set=label_set)
     truth = None
     if args.truth:
         truth, unlabeled = load_truth(args.truth, label_set, item_ids)
@@ -247,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     agg.add_argument("--truth", default=None)
     agg.add_argument("--classes", type=int, default=2)
     agg.add_argument("--binary", action="store_true")
-    agg.add_argument("--format", default="csv-triples",
-                     choices=["csv-triples", "dense-csv"])
+    agg.add_argument("--format", default="csv-triples", choices=LABEL_FORMATS)
     agg.add_argument("--out", default=None)
     agg.set_defaults(func=_cmd_aggregate)
 
@@ -262,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a configured experiment")
     exp.add_argument("--config", required=True)
-    exp.add_argument("--out", default=None)
+    exp.add_argument("--out", default=None,
+                     help="output stem; replaces the config's 'output'")
     exp.set_defaults(func=_cmd_experiment)
 
     summ = sub.add_parser("summarize", help="summarize a labels file")
@@ -270,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     summ.add_argument("--truth", default=None)
     summ.add_argument("--classes", type=int, default=2)
     summ.add_argument("--binary", action="store_true")
-    summ.add_argument("--format", default="csv-triples",
-                      choices=["csv-triples", "dense-csv"])
+    summ.add_argument("--format", default="csv-triples", choices=LABEL_FORMATS)
     summ.add_argument("--subsample", type=float, default=None)
     summ.add_argument("--seed", type=int, default=0)
     summ.set_defaults(func=_cmd_summarize)

@@ -42,17 +42,6 @@ class NotBinary(ValueError):
     """A binary-only operation was invoked with more than two classes."""
 
 
-class OutOfRangeLabel(ValueError):
-    """A grid entry is not a valid label. Positions are 1-based."""
-
-    def __init__(self, worker: int, item: int, value):
-        self.worker = worker
-        self.item = item
-        self.value = value
-        super().__init__(f"label {value!r} at worker {worker}, item {item} "
-                         f"is not a valid class or 0")
-
-
 @dataclass(frozen=True)
 class LabelSet:
     """The set of classes plus the external coding convention.
@@ -70,22 +59,8 @@ class LabelSet:
         if self.binary_convention and self.num_classes != 2:
             raise DomainError("the +/-1 convention only applies to two classes")
 
-    def to_internal(self, values) -> np.ndarray:
-        """Map external labels to internal classes; 0 stays 0.
-
-        Unrecognised external values are mapped to -1 so the caller can
-        report them (they are never valid internally).
-        """
-        arr = np.asarray(values)
-        if not self.binary_convention:
-            return arr.copy()
-        out = np.full(arr.shape, -1, dtype=np.int64)
-        out[arr == 0] = 0
-        out[arr == 1] = 1
-        out[arr == -1] = 2
-        return out
-
     def to_external(self, values) -> np.ndarray:
+        """Map internal classes to external labels."""
         arr = np.asarray(values)
         if not self.binary_convention:
             return arr.copy()
@@ -262,33 +237,6 @@ def _gather_sum(table: np.ndarray, rows: np.ndarray, keys: np.ndarray,
     return out.astype(float, copy=False)  # bincount of no labels gives ints
 
 
-def validate_label_matrix(raw, label_set: LabelSet) -> LabelMatrix:
-    """Check a raw integer grid and wrap it as a :class:`LabelMatrix`.
-
-    The grid must be rectangular with entries in ``{0, 1, ..., L}`` (or
-    ``{0, +1, -1}`` under the binary convention); the first offending entry
-    is reported with 1-based worker/item positions.
-    """
-    try:
-        arr = np.asarray(raw)
-    except ValueError as exc:
-        raise DomainError("label grid must be rectangular") from exc
-    if arr.dtype == object or arr.ndim != 2:
-        raise DomainError("label grid must be rectangular")
-    if arr.size == 0:
-        raise EmptyMatrix("label grid has no cells")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise DomainError("labels must be integers")
-        arr = arr.astype(np.int64)
-    internal = label_set.to_internal(arr)
-    bad = (internal < 0) | (internal > label_set.num_classes)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise OutOfRangeLabel(int(i) + 1, int(j) + 1, arr[i, j])
-    return LabelMatrix.from_dense(internal, label_set.num_classes)
-
-
 @dataclass(frozen=True)
 class Prior:
     """Class prevalence probabilities."""
@@ -367,6 +315,15 @@ class AssignmentModel:
             return np.asarray(self.value)
         return np.broadcast_to(
             self.worker_probs(num_workers)[:, None], (num_workers, num_items))
+
+
+def check_accuracies(values) -> np.ndarray:
+    """``values`` as a float array; raises unless every entry lies in
+    [0, 1], which NaN does not."""
+    values = np.asarray(values, dtype=float)
+    if not ((values >= 0) & (values <= 1)).all():
+        raise DomainError("accuracies must lie in [0, 1]")
+    return values
 
 
 def symmetric_tables(diagonal, num_classes: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 import warnings
 from collections.abc import Callable
@@ -71,76 +72,93 @@ class UnknownLabel(ValueError):
     """A label token is not a member of the declared label set."""
 
 
-def _read_labelled_rows(path, header: tuple, label_set: LabelSet):
-    """Yield the rows of a CSV whose first line is ``header`` and whose last
-    field is a label: the stripped key fields, then the internal label.
+LABEL_FORMATS = ("csv-triples", "dense-csv")
 
-    Blank rows are skipped; every other row must have one field per header
-    column and a label token that names one of the label set's classes.
+
+def _read_rows(path, header: tuple, label_set: LabelSet):
+    """Yield the non-blank rows of a label CSV with their labels decoded.
+
+    A keyed file starts with the line ``header`` (``worker,item,label`` or
+    ``item,label``); each row holds key fields and one label and is yielded
+    as the stripped keys followed by the label's internal class. A dense
+    grid (``header=()``) has neither: every field is a label, 0 marks a
+    missing one, and each row is yielded as the list of its classes (0 kept).
+    Every row must have as many fields as the header or, in a grid, as its
+    first row, and every label token must be an integer in the one token
+    table built from :meth:`LabelSet.to_external`.
     """
     classes = range(1, label_set.num_classes + 1)
-    internal_of = dict(zip(label_set.to_external(classes).tolist(), classes))
+    class_of = dict(zip(label_set.to_external(classes).tolist(), classes))
+    if not header:
+        class_of[0] = 0
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None:
-            raise EmptyMatrix(f"{path} is empty")
-        if [cell.strip().lower() for cell in first] != list(header):
-            raise ParseError(1, f"expected header {','.join(header)!r}")
-        for line_no, row in enumerate(reader, start=2):
+        if header:
+            first = next(reader, None)
+            if first is None:
+                raise EmptyMatrix(f"{path} is empty")
+            if [cell.strip().lower() for cell in first] != list(header):
+                raise ParseError(1, f"expected header {','.join(header)!r}")
+        width = len(header)
+        for row in reader:
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ParseError(line_no, f"expected {len(header)} fields, "
-                                          f"got {len(row)}")
-            *keys, token = [cell.strip() for cell in row]
+            width = width or len(row)
+            if len(row) != width:
+                raise ParseError(reader.line_num,
+                                 f"expected {width} fields, got {len(row)}")
             try:
-                raw_label = int(token)
-            except ValueError as exc:
-                raise ParseError(line_no, f"label {token!r} is not an integer") from exc
-            internal = internal_of.get(raw_label)
-            if internal is None:
-                raise UnknownLabel(
-                    f"line {line_no}: label {raw_label} is not one of the "
-                    f"{label_set.num_classes} classes")
-            yield (*keys, internal)
+                if header:
+                    *keys, token = [cell.strip() for cell in row]
+                    decoded = (*keys, class_of[int(token)])
+                else:
+                    decoded = list(map(class_of.__getitem__, map(int, row)))
+            except (KeyError, ValueError):
+                raise _bad_label(reader.line_num, row[-1:] if header else row,
+                                 class_of, label_set.num_classes) from None
+            yield decoded
 
 
-def load_labels(path, fmt: str = "csv-triples",
-                label_set: LabelSet | None = None):
+def _bad_label(line: int, tokens, class_of: dict, num_classes: int) -> ValueError:
+    """The error for the first label token that is not an integer
+    (:class:`ParseError`) or not in ``class_of`` (:class:`UnknownLabel`);
+    callers pass tokens that hold one."""
+    for token in tokens:
+        try:
+            value = int(token)
+        except ValueError:
+            return ParseError(line, f"label {token.strip()!r} is not an integer")
+        if value not in class_of:
+            return UnknownLabel(f"line {line}: label {value} is not one of "
+                                f"the {num_classes} classes")
+
+
+def load_labels(path, fmt: str = "csv-triples", *, label_set: LabelSet):
     """Read labels from disk into a :class:`LabelMatrix` plus id maps.
 
     ``csv-triples`` expects a header ``worker,item,label`` and one observed
     label per row; workers and items receive contiguous internal indices in
     first-appearance order and the original ids are returned for
     round-tripping. ``dense-csv`` expects a headerless integer grid, one row
-    per worker, with 0 marking missing entries.
+    per worker, with 0 marking missing entries; its ids are the 0-based row
+    and column numbers. Both formats are read by one row loop, with the same
+    rules and messages, and a file without a single label is rejected.
     """
-    if label_set is None:
-        raise DomainError("a label set (class count) is required")
-    if fmt == "dense-csv":
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-        if not rows:
-            raise EmptyMatrix(f"{path} contains no data")
-        grid = []
-        for line_no, row in enumerate(rows, start=1):
-            try:
-                grid.append([int(cell) for cell in row])
-            except ValueError as exc:
-                raise ParseError(line_no, str(exc)) from exc
-        from .core import validate_label_matrix
-        matrix = validate_label_matrix(grid, label_set)
-        return (matrix, [str(i) for i in range(matrix.num_workers)],
-                [str(j) for j in range(matrix.num_items)])
-    if fmt != "csv-triples":
+    if fmt not in LABEL_FORMATS:
         raise DomainError(f"unknown label format {fmt!r}")
+    if fmt == "dense-csv":
+        grid = list(_read_rows(path, (), label_set))
+        if not any(map(any, grid)):
+            raise EmptyMatrix(f"{path} contains no labels")
+        labels = LabelMatrix.from_dense(grid, label_set.num_classes)
+        return (labels, [str(i) for i in range(labels.num_workers)],
+                [str(j) for j in range(labels.num_items)])
 
     worker_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     seen: set[tuple[int, int]] = set()
     workers, items, values = [], [], []
-    for worker, item, label in _read_labelled_rows(
+    for worker, item, label in _read_rows(
             path, ("worker", "item", "label"), label_set):
         cell = (worker_index.setdefault(worker, len(worker_index)),
                 item_index.setdefault(item, len(item_index)))
@@ -167,7 +185,7 @@ def load_truth(path, label_set: LabelSet,
     report rather than drop silently.
     """
     by_item: dict[str, int] = {}
-    for item, label in _read_labelled_rows(path, ("item", "label"), label_set):
+    for item, label in _read_rows(path, ("item", "label"), label_set):
         if item in by_item:
             raise DuplicateLabel("<truth>", item)
         by_item[item] = label
@@ -267,6 +285,9 @@ _SWEEP_VARIABLES = {"hds-sweep": ("wbar", "M", "N", "q", "none"),
 _CONFIG_KEYS = ("scenario", "methods", "trials", "sweep", "master_seed",
                 "output", "sim", "misspec", "dataset", "record_timing",
                 "fixed_iterations")
+# The size keys of each config section, which must hold whole numbers.
+_WHOLE_KEYS = {"sim": ("M", "N", "L"), "misspec": ("M1", "M2", "N1", "N2"),
+               "dataset": ("L",)}
 
 
 def _reject_unknown_keys(where: str, raw: dict, allowed) -> None:
@@ -274,6 +295,15 @@ def _reject_unknown_keys(where: str, raw: dict, allowed) -> None:
     if unknown:
         raise DomainError(f"unknown {where} keys: "
                           f"{', '.join(map(repr, unknown))}")
+
+
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int; a fractional, boolean or non-numeric value is
+    rejected, not cut."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _run_wmv(labels, accuracies, limits):
@@ -382,6 +412,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in _SWEEP_VARIABLES:
             raise DomainError(f"unknown scenario {self.scenario!r}")
+        object.__setattr__(self, "trials", _whole_number("trials", self.trials))
+        object.__setattr__(self, "master_seed",
+                           _whole_number("master_seed", self.master_seed))
         if self.trials < 1:
             raise DomainError("at least one trial is required")
         if not self.methods:
@@ -394,15 +427,20 @@ class ExperimentConfig:
         if self.sweep_variable not in _SWEEP_VARIABLES[self.scenario]:
             raise DomainError(f"the {self.scenario!r} scenario cannot sweep "
                               f"{self.sweep_variable!r}")
-        if self.sweep_variable in ("M", "N") and not all(
-                float(value).is_integer() for value in self.sweep_grid):
-            raise DomainError(f"{self.sweep_variable} values must be integers")
+        if self.sweep_variable in ("M", "N"):
+            for value in self.sweep_grid:
+                _whole_number(self.sweep_variable, value)
         if self.fixed_iterations is not None and not (
                 type(self.fixed_iterations) is int and self.fixed_iterations > 0):
             raise DomainError("fixed_iterations must be a positive integer")
         _reject_unknown_keys("sim", self.sim, _SIM_DEFAULTS)
         _reject_unknown_keys("misspec", self.misspec, _MISSPEC_DEFAULTS)
         _reject_unknown_keys("dataset", self.dataset, _DATASET_KEYS)
+        for section, keys in _WHOLE_KEYS.items():
+            spec = getattr(self, section)
+            for key in keys:
+                if key in spec:
+                    _whole_number(f"{section}.{key}", spec[key])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -412,10 +450,10 @@ class ExperimentConfig:
         return cls(
             scenario=raw["scenario"],
             methods=tuple(raw["methods"]),
-            trials=int(raw.get("trials", 1)),
+            trials=raw.get("trials", 1),
             sweep_variable=sweep.get("variable", "none"),
             sweep_grid=tuple(sweep.get("grid", [0.0])),
-            master_seed=int(raw.get("master_seed", 0)),
+            master_seed=raw.get("master_seed", 0),
             output=raw.get("output"),
             sim=dict(raw.get("sim", {})),
             misspec=dict(raw.get("misspec", {})),
@@ -514,7 +552,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         spec = config.dataset
         label_set = LabelSet(int(spec.get("L", 2)), bool(spec.get("binary", False)))
         labels, _, item_ids = load_labels(
-            spec["path"], spec.get("format", "csv-triples"), label_set)
+            spec["path"], spec.get("format", "csv-triples"), label_set=label_set)
         truth = None
         if spec.get("truth"):
             truth, unlabeled = load_truth(spec["truth"], label_set, item_ids)

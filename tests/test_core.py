@@ -9,15 +9,14 @@ from crowdbounds.core import (
     LabelMatrix,
     LabelSet,
     LengthMismatch,
-    OutOfRangeLabel,
     Prior,
     WorkerModel,
     argmax_labels,
     error_rate,
     normalize_log_posteriors,
     posterior,
-    validate_label_matrix,
 )
+from crowdbounds.harness import ParseError, UnknownLabel, load_labels
 
 
 def random_worker_model(rng, num_workers, num_classes):
@@ -32,37 +31,57 @@ def random_label_matrix(rng, num_workers, num_items, num_classes, density=0.7):
     return LabelMatrix.from_dense(data, num_classes)
 
 
+def load_grid(tmp_path, text, label_set):
+    """Read ``text`` as a dense-CSV labels file."""
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    return load_labels(path, "dense-csv", label_set=label_set)[0]
+
+
 class TestValidateLabelMatrix:
-    def test_mask_derivation(self):
-        matrix = validate_label_matrix([[1, 2], [0, 1]], LabelSet(2))
+    """Validation of a worker-by-item grid, which the dense-CSV reader does
+    with the same rules and messages as the triples reader."""
+
+    def test_mask_derivation(self, tmp_path):
+        matrix = load_grid(tmp_path, "1,2\n0,1\n", LabelSet(2))
         assert (matrix.dense() != 0).astype(int).tolist() == [[1, 1], [0, 1]]
         assert matrix.num_workers == 2 and matrix.num_items == 2
 
-    def test_out_of_range_is_reported_one_based(self):
-        with pytest.raises(OutOfRangeLabel) as excinfo:
-            validate_label_matrix([[3, 0]], LabelSet(2))
-        assert (excinfo.value.worker, excinfo.value.item) == (1, 1)
-        assert excinfo.value.value == 3
+    def test_out_of_range_is_reported_one_based(self, tmp_path):
+        with pytest.raises(UnknownLabel,
+                           match=r"^line 2: label 3 is not one of the 2 classes$"):
+            load_grid(tmp_path, "1,0\n3,0\n", LabelSet(2))
 
-    def test_all_missing_grid_is_valid(self):
-        matrix = validate_label_matrix([[0, 0], [0, 0]], LabelSet(2))
-        assert matrix.num_labels == 0
+    def test_all_missing_grid_is_valid(self, tmp_path):
+        # The grid type accepts a worker-by-item grid without labels, and a
+        # file's all-zero rows load as silent workers; a file with no label
+        # at all is rejected.
+        assert LabelMatrix.from_dense([[0, 0], [0, 0]], 2).num_labels == 0
+        matrix = load_grid(tmp_path, "0,0\n0,2\n0,0\n", LabelSet(2))
+        assert matrix.labels_per_worker().tolist() == [0, 1, 0]
+        with pytest.raises(EmptyMatrix, match="contains no labels"):
+            load_grid(tmp_path, "0,0\n0,0\n", LabelSet(2))
 
-    def test_empty_grid(self):
+    def test_empty_grid(self, tmp_path):
         with pytest.raises(EmptyMatrix):
-            validate_label_matrix(np.zeros((0, 3), dtype=int), LabelSet(2))
+            LabelMatrix.from_dense(np.zeros((0, 3), dtype=int), 2)
+        for text in ("", "\n\n"):
+            with pytest.raises(EmptyMatrix, match="contains no labels"):
+                load_grid(tmp_path, text, LabelSet(2))
 
-    def test_ragged_grid(self):
-        with pytest.raises(DomainError):
-            validate_label_matrix([[1, 2], [1]], LabelSet(2))
+    def test_ragged_grid(self, tmp_path):
+        with pytest.raises(ParseError,
+                           match=r"^line 2: expected 2 fields, got 1$"):
+            load_grid(tmp_path, "1,2\n1\n", LabelSet(2))
 
-    def test_binary_convention_maps_signs(self):
-        matrix = validate_label_matrix([[1, -1, 0]], LabelSet(2, binary_convention=True))
+    def test_binary_convention_maps_signs(self, tmp_path):
+        matrix = load_grid(tmp_path, "1,-1,0\n",
+                           LabelSet(2, binary_convention=True))
         assert matrix.dense().tolist() == [[1, 2, 0]]
 
-    def test_binary_convention_rejects_plain_two(self):
-        with pytest.raises(OutOfRangeLabel):
-            validate_label_matrix([[2]], LabelSet(2, binary_convention=True))
+    def test_binary_convention_rejects_plain_two(self, tmp_path):
+        with pytest.raises(UnknownLabel, match="label 2 is not one of"):
+            load_grid(tmp_path, "2\n", LabelSet(2, binary_convention=True))
 
 
 class TestPosterior:
@@ -178,11 +197,12 @@ class TestModelValidation:
         with pytest.raises(NotBinary):
             WorkerModel.hds([0.8], 3).binary_rates()
 
-    def test_label_set_round_trip_is_a_bijection(self):
+    def test_label_set_round_trip_is_a_bijection(self, tmp_path):
+        """``to_external`` and the readers' token table invert each other."""
         label_set = LabelSet(2, binary_convention=True)
-        external = np.array([[1, -1, 0], [0, 1, -1]])
-        assert np.array_equal(label_set.to_external(
-            label_set.to_internal(external)), external)
-        internal = np.array([[1, 2, 0]])
-        assert np.array_equal(label_set.to_internal(
-            label_set.to_external(internal)), internal)
+        internal = np.array([[1, 2, 0], [0, 1, 2]])
+        external = label_set.to_external(internal)
+        assert external.tolist() == [[1, -1, 0], [0, 1, -1]]
+        text = "".join(",".join(map(str, row)) + "\n" for row in external)
+        assert load_grid(tmp_path, text, label_set).dense().tolist() == \
+            internal.tolist()

@@ -376,6 +376,36 @@ class TestRunExperiment:
             rows = run_experiment(ExperimentConfig.from_dict(raw))
             assert all(r.error is None for r in rows), raw
 
+    def test_sizes_and_seeds_must_be_whole_numbers(self, tmp_path):
+        """Fractional, boolean and non-numeric counts, seeds and sizes are
+        rejected (exit 1), not cut; whole floats such as 2.0 read as
+        integers."""
+        raw = {"scenario": "hds-sweep", "methods": ["mv"], "trials": 1,
+               "sweep": {"variable": "wbar", "grid": [0.7]}, "master_seed": 5,
+               "sim": {"M": 5, "N": 20, "L": 2, "q": 0.5}}
+        bad = [((), "trials", 2.5), ((), "trials", True), ((), "trials", None),
+               ((), "trials", "3"), ((), "master_seed", 1.9),
+               ((), "master_seed", False)]
+        bad += [(("sim",), key, 10.7) for key in ("M", "N", "L")]
+        bad += [(("misspec",), key, 3.5) for key in ("M1", "M2", "N1", "N2")]
+        bad += [(("dataset",), "L", 2.5), (("sim",), "M", True)]
+        for path, key, value in bad:
+            config = json.loads(json.dumps(raw))
+            target = config
+            for part in path:
+                target = target.setdefault(part, {})
+            target[key] = value
+            with pytest.raises(DomainError, match="whole number"):
+                ExperimentConfig.from_dict(config)
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config))
+            assert main(["experiment", "--config", str(config_path)]) == 1, key
+        config = ExperimentConfig.from_dict({**raw, "trials": 2.0,
+                                             "master_seed": 5.0})
+        assert (config.trials, config.master_seed) == (2, 5)
+        assert type(config.trials) is int
+        assert len(run_experiment(config)) == 2
+
     def test_fixed_iterations_must_be_a_positive_integer(self, tmp_path):
         for value in (0, -2, "3", 2.5, True, [3]):
             with pytest.raises(DomainError, match="fixed_iterations"):
@@ -456,6 +486,19 @@ class TestCli:
         assert (tmp_path / "res.csv").exists()
         assert (tmp_path / "res.jsonl").exists()
 
+    def test_experiment_out_replaces_the_config_output(self, tmp_path, capsys):
+        raw = {"scenario": "hds-sweep", "methods": ["mv"], "trials": 1,
+               "sweep": {"variable": "wbar", "grid": [0.7]}, "master_seed": 5,
+               "sim": {"M": 5, "N": 20, "L": 2, "q": 0.5},
+               "output": str(tmp_path / "from_config")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert main(["experiment", "--config", str(config),
+                     "--out", str(tmp_path / "from_flag")]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.glob("from_*")) == [
+            "from_flag.csv", "from_flag.jsonl"]
+
     def test_all_bounds_scenarios(self, capsys):
         """Every scenario exits 0, and each report's keys are pinned so that
         a change of the JSON format is deliberate."""
@@ -522,6 +565,16 @@ class TestCli:
             ("wmv-hds", {**wmv, "L": 1}, "two classes"),
             ("mv-hds", {**mv, "L": 1}, "two classes"),
             ("mv-hds", {**mv, "L": 1, "mean_accuracy": 1.5}, "two classes"),
+            ("mv-hds", {**mv, "mean_accuracy": 1.5}, "accuracies must lie"),
+            ("mv-hds", {**mv, "mean_accuracy": -0.1}, "accuracies must lie"),
+            ("wmv-hds", {**wmv, "accuracies": [1.8, -0.5]},
+             "accuracies must lie"),
+            ("hyperplane", {**hyperplane, "p_plus": [1.2, 0.7]},
+             "accuracies must lie"),
+            ("hyperplane", {**hyperplane, "p_minus": [0.6, -0.1]},
+             "accuracies must lie"),
+            ("hyperplane", {**hyperplane, "q": [0, 1]}, "(0, 1]"),
+            ("hyperplane", {**hyperplane, "q": [1.5, 1]}, "(0, 1]"),
         ]
         for scenario, params, message in cases:
             rc = main(["bounds", "--scenario", scenario,
