@@ -2,16 +2,21 @@
 
 Experiments are described by a JSON-serialisable config, run trial by trial
 with per-trial derived generators (so a row does not depend on which other
-cells ran before it), and emitted as a CSV plus an equivalent JSON-lines file
-whose only nondeterministic content is a timestamp header line. Every
-aggregation method is named once, in :data:`METHODS`.
+cells ran before it, or in which process), and emitted as a CSV plus an
+equivalent JSON-lines file whose only nondeterministic content is a
+timestamp header line. The (sweep value, trial) cells run on one forked
+process per CPU that the calling process may use, and the rows are the same
+bytes as a serial run's; restrict the CPU affinity (``taskset -c 0``) to run
+them serially. Every aggregation method is named once, in :data:`METHODS`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import numbers
+import os
 import time
 import warnings
 from collections.abc import Callable
@@ -297,6 +302,17 @@ def _reject_unknown_keys(where: str, raw: dict, allowed) -> None:
                           f"{', '.join(map(repr, unknown))}")
 
 
+_JSON_KINDS = {"object": dict, "array": (list, tuple)}
+
+
+def _json_kind(name: str, value, kind: str):
+    """``value`` if it is a JSON ``kind`` (object or array); anything else
+    is rejected with a message that names ``name``."""
+    if not isinstance(value, _JSON_KINDS[kind]):
+        raise DomainError(f"{name} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def _whole_number(name: str, value) -> int:
     """``value`` as an int; a fractional, boolean or non-numeric value is
     rejected, not cut."""
@@ -444,20 +460,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _json_kind("the config", raw, "object")
         _reject_unknown_keys("config", raw, _CONFIG_KEYS)
-        sweep = raw.get("sweep", {"variable": "none", "grid": [0.0]})
+        sweep = _json_kind("sweep", raw.get(
+            "sweep", {"variable": "none", "grid": [0.0]}), "object")
         _reject_unknown_keys("sweep", sweep, ("variable", "grid"))
         return cls(
             scenario=raw["scenario"],
-            methods=tuple(raw["methods"]),
+            methods=tuple(_json_kind("methods", raw["methods"], "array")),
             trials=raw.get("trials", 1),
             sweep_variable=sweep.get("variable", "none"),
-            sweep_grid=tuple(sweep.get("grid", [0.0])),
+            sweep_grid=tuple(_json_kind("sweep.grid", sweep.get("grid", [0.0]),
+                                        "array")),
             master_seed=raw.get("master_seed", 0),
             output=raw.get("output"),
-            sim=dict(raw.get("sim", {})),
-            misspec=dict(raw.get("misspec", {})),
-            dataset=dict(raw.get("dataset", {})),
+            sim=dict(_json_kind("sim", raw.get("sim", {}), "object")),
+            misspec=dict(_json_kind("misspec", raw.get("misspec", {}),
+                                    "object")),
+            dataset=dict(_json_kind("dataset", raw.get("dataset", {}),
+                                    "object")),
             record_timing=bool(raw.get("record_timing", False)),
             fixed_iterations=raw.get("fixed_iterations"),
         )
@@ -540,12 +561,87 @@ def _run_trial(config: ExperimentConfig, sweep_index: int, sweep_value,
     return rows
 
 
+def _run_cell(config: ExperimentConfig, dataset, cell) -> tuple[list, list]:
+    """Rows of one (sweep index, trial) cell, with the warnings it raised as
+    (message, category, filename, lineno) for the caller to re-emit."""
+    sweep_index, trial = cell
+    with warnings.catch_warnings(record=True) as caught:
+        rows = _run_trial(config, sweep_index, config.sweep_grid[sweep_index],
+                          trial, dataset)
+    return rows, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _cell_workers(num_cells: int) -> int:
+    """How many processes run an experiment's cells: one per CPU this
+    process may run on, capped at the number of cells; one where processes
+    cannot be forked, or where this one is a daemon, which may start none."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, num_cells)
+    if workers > 1:
+        import multiprocessing
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            return 1
+    return workers
+
+
+# A pool worker's cell function, inherited through fork. Only the workers
+# set it; the process that runs the experiment never does.
+_forked_cell = None
+
+
+def _adopt_cell(run_cell) -> None:
+    global _forked_cell
+    _forked_cell = run_cell
+
+
+def _run_forked_cell(cell):
+    return _forked_cell(cell)
+
+
+@contextlib.contextmanager
+def _cell_map(run_cell, num_cells: int):
+    """Yield a map of ``run_cell`` over cells that yields results in cell
+    order: the builtin ``map``, or a process pool's when
+    :func:`_cell_workers` gives more than one worker.
+
+    The pool forks its workers, so they inherit ``run_cell`` (the config and
+    any loaded dataset) instead of importing the package again and receiving
+    it pickled with every cell, as spawned workers would; the pool's map
+    re-raises the exception of the earliest failing cell in order.
+    Every worker has been joined when the block exits, by return or raise.
+    """
+    workers = _cell_workers(num_cells)
+    if workers == 1:
+        yield partial(map, run_cell)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # numpy loads this on first use; every trial draws from it, so load it
+    # here once rather than in each worker (about 15 ms each).
+    import numpy.random  # noqa: F401
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt_cell, initargs=(run_cell,))
+    try:
+        yield partial(pool.map, _run_forked_cell)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run every (sweep value, trial, method) cell and emit result files.
 
     Rows come in grid order, then trial, then the config's method order.
     Each trial derives its own generator from (master seed, sweep, trial),
-    so a row's content does not depend on the cells run before it.
+    so a row's content does not depend on the cells run before it nor on
+    the process that ran it: the trials run on one forked process per
+    available CPU, and the rows equal a serial run's. Warnings raised in a
+    trial are re-emitted here in trial order (those of a trial that raises
+    are dropped with it); an exception that escapes a trial is that of the
+    earliest failing trial in row order.
     """
     dataset = None
     if config.scenario == "dataset":
@@ -561,11 +657,17 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                               f"labels; no error rate covers them",
                               stacklevel=2)
         dataset = labels, truth
-    rows = [row
-            for sweep_index, sweep_value in enumerate(config.sweep_grid)
-            for trial in range(config.trials)
-            for row in _run_trial(config, sweep_index, sweep_value, trial,
-                                  dataset)]
+    cells = [(sweep_index, trial)
+             for sweep_index in range(len(config.sweep_grid))
+             for trial in range(config.trials)]
+    rows = []
+    registry: dict = {}  # shows a "default"-filtered warning once per run
+    with _cell_map(partial(_run_cell, config, dataset), len(cells)) as cell_map:
+        for cell_rows, caught in cell_map(cells):
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno,
+                                       registry=registry)
+            rows += cell_rows
     if config.output:
         write_results(rows, config.output)
     return rows

@@ -1,15 +1,22 @@
+import dataclasses
 import json
+import multiprocessing
+import os
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crowdbounds import harness
 from crowdbounds.core import DomainError, EmptyMatrix, LabelMatrix, LabelSet
 from crowdbounds.harness import (
     KNOWN_METHODS,
     METHODS,
     DuplicateLabel,
     ExperimentConfig,
+    Method,
     ParseError,
     UnknownLabel,
     load_labels,
@@ -343,6 +350,20 @@ class TestRunExperiment:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**raw, "trails": 5}))
         assert main(["experiment", "--config", str(config)]) == 1
+        # Containers of the wrong JSON kind name their key and exit 1.
+        for bad, key in (({**raw, "methods": 5}, "methods"),
+                         ({**raw, "methods": "mv"}, "methods"),
+                         ({**raw, "sweep": {"variable": "wbar", "grid": 0.7}},
+                          "sweep.grid"),
+                         ({**raw, "sweep": 5}, "sweep"),
+                         ({**raw, "sim": [1]}, "sim"),
+                         ({**raw, "misspec": 2}, "misspec"),
+                         ({**raw, "dataset": "x"}, "dataset"),
+                         ([raw], "the config")):
+            with pytest.raises(DomainError, match=f"^{key} must be a JSON"):
+                ExperimentConfig.from_dict(bad)
+            config.write_text(json.dumps(bad))
+            assert main(["experiment", "--config", str(config)]) == 1, key
 
     def test_sweep_must_match_the_scenario(self, tmp_path):
         """Each scenario reads its own sweep variables; M and N values are
@@ -442,6 +463,116 @@ class TestRunExperiment:
         records = [json.loads(line) for line in open(jsonl_path)]
         assert "_meta" in records[0]
         assert len(records) == 1 + len(rows)
+
+
+def run_on(workers, config, monkeypatch):
+    """run_experiment with the worker count forced: 1 takes the serial path,
+    more forks that many workers whatever the machine's CPU count."""
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_cell_workers",
+                      lambda num_cells: min(workers, num_cells))
+        return run_experiment(config)
+
+
+def after_stamp(stem):
+    return [Path(f"{stem}{suffix}").read_bytes().split(b"\n", 1)[1]
+            for suffix in (".csv", ".jsonl")]
+
+
+class TestCellPool:
+    """The trials run on forked workers; the files, the error that escapes
+    and the warnings match a serial run's."""
+
+    def test_pooled_files_equal_serial_files(self, tmp_path, monkeypatch):
+        labels_path, truth_path = tmp_path / "labels.csv", tmp_path / "truth.csv"
+        make_fixture(labels_path, 10, 60, 300, 2, seed=6)
+        truth_path.write_text("item,label\n" + "".join(
+            f"i{j},{1 + j % 2}\n" for j in range(60)))
+        scenarios = [
+            small_sweep_config(methods=KNOWN_METHODS, trials=3,
+                               sweep_grid=(0.6, 0.7, 0.8)),
+            ExperimentConfig(
+                scenario="misspecified", methods=("mv", "iwmv", "em-hds"),
+                trials=5, sweep_variable="none", sweep_grid=(0.0,),
+                master_seed=1, misspec={"M1": 5, "M2": 5, "N1": 40, "N2": 40}),
+            ExperimentConfig(
+                scenario="dataset", methods=("mv", "iwmv", "em-gds", "em-hds"),
+                trials=2, sweep_variable="s", sweep_grid=(0.5, 0.75, 1.0),
+                master_seed=2, dataset={"path": str(labels_path),
+                                        "truth": str(truth_path), "L": 2}),
+        ]
+        for config in scenarios:
+            for fixed in (None, 3):
+                stems = [str(tmp_path / f"{config.scenario}-{fixed}-{workers}")
+                         for workers in (1, 3)]
+                for workers, stem in zip((1, 3), stems):
+                    run_on(workers, dataclasses.replace(
+                        config, output=stem, fixed_iterations=fixed),
+                        monkeypatch)
+                assert after_stamp(stems[0]) == after_stamp(stems[1]), stems
+        assert multiprocessing.active_children() == []
+
+    def test_the_earliest_failing_trial_raises(self, tmp_path, monkeypatch):
+        config = small_sweep_config(sweep_variable="q",
+                                    sweep_grid=(0.3, 1.5, -0.2))
+        errors = []
+        for workers in (1, 3):
+            with pytest.raises(DomainError) as caught:
+                run_on(workers, config, monkeypatch)
+            errors.append(caught.value)
+            assert multiprocessing.active_children() == []
+        assert str(errors[0]) == str(errors[1])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "scenario": "hds-sweep", "methods": ["mv"], "trials": 2,
+            "sweep": {"variable": "q", "grid": [0.3, 1.5, -0.2]},
+            "sim": {"M": 9, "N": 50, "L": 2}}))
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert multiprocessing.active_children() == []
+
+        # The error is the earliest trial's in row order, though a later
+        # trial failed first in time.
+        run_trial = harness._run_trial
+
+        def failing(config, sweep_index, sweep_value, trial, dataset):
+            if sweep_index == 1:
+                time.sleep(0.3)
+                raise DomainError("the earlier trial")
+            if sweep_index == 2:
+                raise ValueError("the later trial")
+            return run_trial(config, sweep_index, sweep_value, trial, dataset)
+
+        monkeypatch.setattr(harness, "_run_trial", failing)
+        with pytest.raises(DomainError, match="the earlier trial"):
+            run_on(3, small_sweep_config(sweep_grid=(0.6, 0.7, 0.8), trials=1),
+                   monkeypatch)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_warnings_reach_the_caller_in_trial_order(self, monkeypatch):
+        vote = METHODS["mv"].run
+
+        def warn_then_vote(labels, accuracies, limits):
+            warnings.warn(f"{labels.num_items} items", UserWarning)
+            return vote(labels, accuracies, limits)
+
+        monkeypatch.setitem(METHODS, "mv", Method(warn_then_vote))
+        config = small_sweep_config(methods=("mv",), sweep_variable="N",
+                                    sweep_grid=(30, 40, 50))
+        with pytest.warns(UserWarning) as record:
+            rows = run_on(3, config, monkeypatch)
+        assert all(row.error is None for row in rows)
+        assert [str(w.message) for w in record
+                if w.category is UserWarning] == [
+            "30 items", "30 items", "40 items", "40 items", "50 items",
+            "50 items"]
+
+    def test_one_worker_per_available_cpu(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        assert harness._cell_workers(10 ** 6) == cpus
+        assert harness._cell_workers(1) == 1
+        # A daemon process (a pool worker) may not start processes.
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert harness._cell_workers(10 ** 6) == 1
 
 
 class TestCli:
