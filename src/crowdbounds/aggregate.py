@@ -26,6 +26,11 @@ from .core import (
     check_accuracies,
 )
 
+# IWMV's log-odds weights clip the estimated accuracies to [LOG_CLIP,
+# 1 - LOG_CLIP] so that a worker who always or never agrees with the current
+# predictions still gets a finite weight.
+LOG_CLIP = 1e-3
+
 
 class WeightLengthMismatch(ValueError):
     """The weight vector does not have one entry per worker."""
@@ -115,7 +120,7 @@ class IwmvResult:
 
 
 def iwmv(labels: LabelMatrix, max_iters: int = 100, weight_mode: str = "linear",
-         log_clip: float = 1e-3, stop_on_convergence: bool = True) -> IwmvResult:
+         stop_on_convergence: bool = True) -> IwmvResult:
     """Iterative weighted majority voting.
 
     Starting from unit weights, alternate: vote, score every worker by
@@ -143,7 +148,7 @@ def iwmv(labels: LabelMatrix, max_iters: int = 100, weight_mode: str = "linear",
         if weight_mode == "linear":
             weights = L * accuracies - 1.0
         else:
-            clipped = np.clip(accuracies, log_clip, 1.0 - log_clip)
+            clipped = np.clip(accuracies, LOG_CLIP, 1.0 - LOG_CLIP)
             weights = np.log((L - 1) * clipped / (1.0 - clipped))
         if stop_on_convergence and previous is not None and np.array_equal(
                 predicted, previous):

@@ -22,7 +22,8 @@ from .harness import (
     LABEL_FORMATS,
     METHODS,
     ExperimentConfig,
-    _reject_unknown_keys,
+    REQUIRED,
+    check_json,
     load_labels,
     load_truth,
     run_experiment,
@@ -118,47 +119,29 @@ def _general_rule(scores, shifts) -> DecomposableRule:
     return DecomposableRule(scores[:, :, 1:].transpose(0, 2, 1), shifts)
 
 
-def _is_array(value) -> bool:
-    """A JSON number or a (nested) list of numbers, as numpy reads them."""
-    return type(value) in (int, float) or (type(value) is list
-                                           and all(map(_is_array, value)))
-
-
-# JSON kinds of the ``--params`` values (``type`` checks keep bools out).
-_KINDS = {"integer": lambda value: type(value) is int,
-          "number": lambda value: type(value) in (int, float),
-          "array": _is_array, "string": lambda value: type(value) is str}
-# The keys each bounds scenario reads from ``--params``, with their JSON kinds.
+R = REQUIRED  # a key without a default
+# The keys each bounds scenario reads from ``--params``: (kind, default).
 BOUND_SCENARIOS = {
-    "wmv-hds": {"q": "number", "weights": "array", "accuracies": "array",
-                "L": "integer", "N": "integer"},
-    "hyperplane": {"q": "array", "weights": "array", "shift": "number",
-                   "p_plus": "array", "p_minus": "array", "N": "integer"},
-    "mv-hds": {"q": "number", "mean_accuracy": "number", "M": "integer",
-               "L": "integer"},
-    "oswmv": {"accuracies": "array", "N": "integer"},
-    "general": {"scores": "array", "shifts": "array",
-                "assignment_kind": "string", "assignment": "array",
-                "tables": "array", "N": "integer"},
+    "wmv-hds": {"q": ("number", R), "weights": ("numbers", R),
+                "accuracies": ("numbers", R), "L": ("integer", R),
+                "N": ("integer", None)},
+    "hyperplane": {"q": ("numbers", R), "weights": ("numbers", R),
+                   "shift": ("number", 0.0), "p_plus": ("numbers", R),
+                   "p_minus": ("numbers", R), "N": ("integer", None)},
+    "mv-hds": {"q": ("number", R), "mean_accuracy": ("number", R),
+               "M": ("integer", R), "L": ("integer", R)},
+    "oswmv": {"accuracies": ("numbers", R), "N": ("integer", R)},
+    "general": {"scores": ("numbers", R), "shifts": ("numbers", R),
+                "assignment_kind": ("string", "constant"),
+                "assignment": ("numbers", R), "tables": ("numbers", R),
+                "N": ("integer", None)},
 }
-
-
-def _bound_params(scenario: str, text: str) -> dict:
-    """``--params`` checked against the scenario's keys and their kinds."""
-    params = json.loads(text)
-    if not isinstance(params, dict):
-        raise UsageError("--params must be a JSON object")
-    kinds = BOUND_SCENARIOS[scenario]
-    _reject_unknown_keys(f"{scenario!r} --params", params, kinds)
-    for key, value in params.items():
-        if not _KINDS[kinds[key]](value):
-            raise UsageError(f"parameter {key!r} must be a JSON {kinds[key]}")
-    return params
 
 
 def _cmd_bounds(args) -> int:
     scenario = args.scenario
-    params = _bound_params(scenario, args.params)
+    params = check_json(f"{scenario!r} --params", json.loads(args.params),
+                        "object", BOUND_SCENARIOS[scenario], "parameter {!r}")
     if scenario == "wmv-hds":
         quantities = bnd.quantities_wmv_hds(
             params["q"], params["weights"], params["accuracies"], params["L"])
@@ -168,14 +151,14 @@ def _cmd_bounds(args) -> int:
                                    params["M"], params["L"])
     elif scenario == "hyperplane":
         quantities = bnd.quantities_hyperplane(
-            params["q"], params["weights"], params.get("shift", 0.0),
+            params["q"], params["weights"], params["shift"],
             params["p_plus"], params["p_minus"])
         report = bnd.mean_error_bounds(quantities)
     elif scenario == "oswmv":
         report = bnd.one_step_wmv_bound(params["accuracies"], params["N"])
     else:
         rule = _general_rule(params["scores"], params["shifts"])
-        assignment = AssignmentModel(params.get("assignment_kind", "constant"),
+        assignment = AssignmentModel(params["assignment_kind"],
                                      params["assignment"])
         model = WorkerModel.gds(np.asarray(params["tables"], dtype=float))
         quantities = bnd.score_quantities(rule, assignment, model)
@@ -185,7 +168,7 @@ def _cmd_bounds(args) -> int:
         if scenario in ("mv-hds", "oswmv"):
             raise UsageError(f"--epsilon is not available for the {scenario!r} "
                              f"scenario")
-        if "N" not in params:
+        if params["N"] is None:
             raise UsageError("--epsilon needs the item count 'N' in --params")
         extra = {"high_probability": bnd.high_probability_bound(
             quantities, params["N"], args.epsilon).to_dict()}

@@ -279,47 +279,76 @@ class ResultRow:
 
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
-_SIM_DEFAULTS = {"M": 31, "N": 200, "L": 3, "q": 0.3, "beta_a": 2.3,
-                 "beta_b": 2.0, "wbar": None, "beta_tol": 0.01}
-_MISSPEC_DEFAULTS = {"M1": 15, "M2": 15, "N1": 300, "N2": 300,
-                     "block": [[0.9, 0.6], [0.5, 0.7]], "q": 0.3}
-_DATASET_KEYS = ("path", "format", "truth", "L", "binary")
+# The JSON kinds of experiment-config and ``bounds --params`` values. True
+# and false are not numbers; an integer is written without a fractional part,
+# a whole number is any number without one (2.0 reads as 2).
+KINDS = {
+    "integer": lambda x: KINDS["number"](x) and isinstance(x, numbers.Integral),
+    "whole number": lambda x: KINDS["integer"](x) or (
+        isinstance(x, float) and x.is_integer()),
+    "number": lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool),
+    "numbers": lambda x: KINDS["number"](x) or (
+        isinstance(x, (list, tuple)) and all(map(KINDS["numbers"], x))),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, (list, tuple)),
+}
+REQUIRED = object()  # the default of a key that must be given
+# Every key of an experiment config as key: (kind, default), and a section
+# as key: ("object", {}, its own key table). README lists the same tables.
+CONFIG_KEYS = {
+    "scenario": ("string", REQUIRED), "methods": ("array", REQUIRED),
+    "trials": ("whole number", 1), "master_seed": ("whole number", 0),
+    "output": ("string", None), "record_timing": ("boolean", False),
+    "fixed_iterations": ("integer", None),
+    "sweep": ("object", {}, {"variable": ("string", "none"),
+                             "grid": ("array", (0.0,))}),
+    "sim": ("object", {}, {
+        "M": ("whole number", 31), "N": ("whole number", 200),
+        "L": ("whole number", 3), "q": ("number", 0.3),
+        "beta_a": ("number", 2.3), "beta_b": ("number", 2.0),
+        "wbar": ("number", None), "beta_tol": ("number", 0.01)}),
+    "misspec": ("object", {}, {
+        "M1": ("whole number", 15), "M2": ("whole number", 15),
+        "N1": ("whole number", 300), "N2": ("whole number", 300),
+        "block": ("numbers", ((0.9, 0.6), (0.5, 0.7))), "q": ("number", 0.3)}),
+    "dataset": ("object", {}, {
+        "path": ("string", None), "format": ("string", "csv-triples"),
+        "truth": ("string", None), "L": ("whole number", 2),
+        "binary": ("boolean", False)}),
+}
 # The sweep variables each scenario reads ("none": the grid only repeats).
 _SWEEP_VARIABLES = {"hds-sweep": ("wbar", "M", "N", "q", "none"),
                     "misspecified": ("none",), "dataset": ("s",)}
-_CONFIG_KEYS = ("scenario", "methods", "trials", "sweep", "master_seed",
-                "output", "sim", "misspec", "dataset", "record_timing",
-                "fixed_iterations")
-# The size keys of each config section, which must hold whole numbers.
-_WHOLE_KEYS = {"sim": ("M", "N", "L"), "misspec": ("M1", "M2", "N1", "N2"),
-               "dataset": ("L",)}
 
 
-def _reject_unknown_keys(where: str, raw: dict, allowed) -> None:
-    unknown = [key for key in raw if key not in allowed]
-    if unknown:
-        raise DomainError(f"unknown {where} keys: "
-                          f"{', '.join(map(repr, unknown))}")
-
-
-_JSON_KINDS = {"object": dict, "array": (list, tuple)}
-
-
-def _json_kind(name: str, value, kind: str):
-    """``value`` if it is a JSON ``kind`` (object or array); anything else
-    is rejected with a message that names ``name``."""
-    if not isinstance(value, _JSON_KINDS[kind]):
+def check_json(name: str, value, kind: str, keys: dict | None = None,
+               key_name: str = "{}"):
+    """``value`` if it is of ``kind`` (a key of :data:`KINDS`), a whole
+    number as an int; otherwise a DomainError that names ``name``. With a
+    key table ``keys``, the object ``value`` is returned as a new dict with
+    each value checked, named ``key_name.format(key)``, and each absent key
+    set to its default; null means absent only where the default is null."""
+    if not KINDS[kind](value):
         raise DomainError(f"{name} must be a JSON {kind}, got {value!r}")
-    return value
-
-
-def _whole_number(name: str, value) -> int:
-    """``value`` as an int; a fractional, boolean or non-numeric value is
-    rejected, not cut."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
-        raise DomainError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+    if kind == "whole number":
+        return int(value)
+    if keys is None:
+        return value
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise DomainError(f"unknown keys in {name}: "
+                          f"{', '.join(map(repr, unknown))}")
+    checked = {}
+    for key, (key_kind, default, *section) in keys.items():
+        item = value.get(key, default)
+        if item is REQUIRED:
+            raise DomainError(f"{name} needs the key {key!r}")
+        item_name = key_name.format(key)
+        checked[key] = item if item is None and default is None else check_json(
+            item_name, item, key_kind, *section, key_name=item_name + ".{}")
+    return checked
 
 
 def _run_wmv(labels, accuracies, limits):
@@ -409,7 +438,9 @@ class ExperimentConfig:
     ``scenario`` is one of ``hds-sweep`` (synthetic single-accuracy data,
     sweeping one of wbar/M/N/q, or none), ``misspecified`` (block-accuracy
     data, sweep variable none) and ``dataset`` (a labels file subsampled at
-    rate s); any other sweep variable is rejected.
+    rate s); any other sweep variable is rejected. Every value is checked
+    against :data:`CONFIG_KEYS` here, and ``sim``, ``misspec`` and
+    ``dataset`` are stored with every key, absent ones at their defaults.
     """
 
     scenario: str
@@ -426,16 +457,25 @@ class ExperimentConfig:
     fixed_iterations: int | None = None
 
     def __post_init__(self):
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        raw["sweep"] = {"variable": raw.pop("sweep_variable"),
+                        "grid": raw.pop("sweep_grid")}
+        config = check_json("the config", raw, "object", CONFIG_KEYS)
+        sweep = config.pop("sweep")
+        kind = "whole number" if sweep["variable"] in ("M", "N") else "number"
+        grid = tuple(check_json("a sweep.grid value", value, kind)
+                     for value in sweep["grid"])
+        config.update(methods=tuple(config["methods"]), sweep_grid=grid,
+                      sweep_variable=sweep["variable"])
+        for name, value in config.items():
+            object.__setattr__(self, name, value)
         if self.scenario not in _SWEEP_VARIABLES:
             raise DomainError(f"unknown scenario {self.scenario!r}")
-        object.__setattr__(self, "trials", _whole_number("trials", self.trials))
-        object.__setattr__(self, "master_seed",
-                           _whole_number("master_seed", self.master_seed))
         if self.trials < 1:
             raise DomainError("at least one trial is required")
         if not self.methods:
             raise DomainError("at least one method is required")
-        unknown = [m for m in self.methods if m not in METHODS]
+        unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise DomainError(f"unknown methods: {unknown}")
         if not self.sweep_grid:
@@ -443,45 +483,21 @@ class ExperimentConfig:
         if self.sweep_variable not in _SWEEP_VARIABLES[self.scenario]:
             raise DomainError(f"the {self.scenario!r} scenario cannot sweep "
                               f"{self.sweep_variable!r}")
-        if self.sweep_variable in ("M", "N"):
-            for value in self.sweep_grid:
-                _whole_number(self.sweep_variable, value)
-        if self.fixed_iterations is not None and not (
-                type(self.fixed_iterations) is int and self.fixed_iterations > 0):
+        if self.fixed_iterations is not None and self.fixed_iterations < 1:
             raise DomainError("fixed_iterations must be a positive integer")
-        _reject_unknown_keys("sim", self.sim, _SIM_DEFAULTS)
-        _reject_unknown_keys("misspec", self.misspec, _MISSPEC_DEFAULTS)
-        _reject_unknown_keys("dataset", self.dataset, _DATASET_KEYS)
-        for section, keys in _WHOLE_KEYS.items():
-            spec = getattr(self, section)
-            for key in keys:
-                if key in spec:
-                    _whole_number(f"{section}.{key}", spec[key])
+        wbars = self.sweep_grid if self.sweep_variable == "wbar" else ()
+        for wbar in (*wbars, self.sim["wbar"]):
+            if wbar is not None and not 0 < wbar < 1:
+                raise DomainError(f"wbar must lie in (0, 1), got {wbar!r}")
+        if self.scenario == "dataset" and self.dataset["path"] is None:
+            raise DomainError("the 'dataset' scenario needs dataset.path")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _json_kind("the config", raw, "object")
-        _reject_unknown_keys("config", raw, _CONFIG_KEYS)
-        sweep = _json_kind("sweep", raw.get(
-            "sweep", {"variable": "none", "grid": [0.0]}), "object")
-        _reject_unknown_keys("sweep", sweep, ("variable", "grid"))
-        return cls(
-            scenario=raw["scenario"],
-            methods=tuple(_json_kind("methods", raw["methods"], "array")),
-            trials=raw.get("trials", 1),
-            sweep_variable=sweep.get("variable", "none"),
-            sweep_grid=tuple(_json_kind("sweep.grid", sweep.get("grid", [0.0]),
-                                        "array")),
-            master_seed=raw.get("master_seed", 0),
-            output=raw.get("output"),
-            sim=dict(_json_kind("sim", raw.get("sim", {}), "object")),
-            misspec=dict(_json_kind("misspec", raw.get("misspec", {}),
-                                    "object")),
-            dataset=dict(_json_kind("dataset", raw.get("dataset", {}),
-                                    "object")),
-            record_timing=bool(raw.get("record_timing", False)),
-            fixed_iterations=raw.get("fixed_iterations"),
-        )
+        config = check_json("the config", raw, "object", CONFIG_KEYS)
+        sweep = config.pop("sweep")
+        return cls(**config, sweep_variable=sweep["variable"],
+                   sweep_grid=sweep["grid"])
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -492,18 +508,15 @@ class ExperimentConfig:
 def _hds_trial_data(config: ExperimentConfig, sweep_value, seed: int):
     """Simulate one trial of an hds-sweep scenario: labels, truth, the true
     accuracies and the label probability q."""
-    sim = {**_SIM_DEFAULTS, **config.sim}
-    if config.sweep_variable != "none":  # one of wbar, M, N, q
-        sim[config.sweep_variable] = sweep_value
-    M, N, L, q = int(sim["M"]), int(sim["N"]), int(sim["L"]), float(sim["q"])
-    if sim["wbar"] is not None:
-        target = float(sim["wbar"])
-        a = sim["beta_b"] * target / (1.0 - target)
+    sim = {**config.sim, config.sweep_variable: sweep_value}  # "none": unread
+    M, N, L, q, b = sim["M"], sim["N"], sim["L"], sim["q"], sim["beta_b"]
+    a, target = sim["beta_a"], sim["wbar"]
+    if target is None:
+        target = a / (a + b)
     else:
-        a = float(sim["beta_a"])
-        target = a / (a + float(sim["beta_b"]))
-    accuracies = sample_workers_beta(M, a, float(sim["beta_b"]), target,
-                                     tol=float(sim["beta_tol"]), seed=seed)
+        a = b * target / (1.0 - target)
+    accuracies = sample_workers_beta(M, a, b, target, tol=sim["beta_tol"],
+                                     seed=seed)
     model = WorkerModel.hds(accuracies, L)
     sim_config = SimConfig(M, N, L, Prior.uniform(L),
                            AssignmentModel.constant(q), model, seed=seed)
@@ -512,10 +525,9 @@ def _hds_trial_data(config: ExperimentConfig, sweep_value, seed: int):
 
 
 def _misspec_trial_data(config: ExperimentConfig, seed: int):
-    spec = {**_MISSPEC_DEFAULTS, **config.misspec}
-    out = make_misspecified_dataset(int(spec["M1"]), int(spec["M2"]),
-                                    int(spec["N1"]), int(spec["N2"]),
-                                    spec["block"], float(spec["q"]), seed=seed)
+    spec = config.misspec
+    out = make_misspecified_dataset(spec["M1"], spec["M2"], spec["N1"],
+                                    spec["N2"], spec["block"], spec["q"], seed)
     return out.labels, out.truth, None, None
 
 
@@ -534,7 +546,7 @@ def _run_trial(config: ExperimentConfig, sweep_index: int, sweep_value,
     else:
         labels, truth = dataset
         accuracies = q = None
-        labels = subsample_labels(labels, float(sweep_value), seed=seed)
+        labels = subsample_labels(labels, sweep_value, seed=seed)
     limits = {}
     if config.fixed_iterations is not None:
         limits = {"max_iters": config.fixed_iterations,
@@ -646,11 +658,11 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     dataset = None
     if config.scenario == "dataset":
         spec = config.dataset
-        label_set = LabelSet(int(spec.get("L", 2)), bool(spec.get("binary", False)))
-        labels, _, item_ids = load_labels(
-            spec["path"], spec.get("format", "csv-triples"), label_set=label_set)
+        label_set = LabelSet(spec["L"], spec["binary"])
+        labels, _, item_ids = load_labels(spec["path"], spec["format"],
+                                          label_set=label_set)
         truth = None
-        if spec.get("truth"):
+        if spec["truth"]:  # an empty path, like null, means no truth file
             truth, unlabeled = load_truth(spec["truth"], label_set, item_ids)
             if unlabeled:
                 warnings.warn(f"{unlabeled} truth rows name items without "

@@ -1,0 +1,217 @@
+"""The one config schema: every key of an experiment config and of
+``bounds --params`` has one kind and one default, checked by one checker
+and listed in README."""
+
+import json
+import re
+from pathlib import Path
+
+from crowdbounds.cli import BOUND_SCENARIOS, main
+from crowdbounds.harness import CONFIG_KEYS, REQUIRED
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+BASE = {"scenario": "hds-sweep", "methods": ["mv"], "trials": 1,
+        "sweep": {"variable": "wbar", "grid": [0.7]},
+        "sim": {"M": 5, "N": 20, "L": 2, "q": 0.5}}
+
+# (section, key, a value of the wrong kind); "" is the top level.
+WRONG_CONFIG = [
+    ("", "scenario", ["hds-sweep"]), ("", "scenario", 5),
+    ("", "methods", [["mv"]]), ("", "methods", "mv"),
+    ("", "trials", "3"), ("", "master_seed", 1.5), ("", "output", 5),
+    ("", "record_timing", "false"), ("", "record_timing", 1),
+    ("", "fixed_iterations", 2.0), ("", "sweep", [0.7]), ("", "sim", [1]),
+    ("", "misspec", "x"), ("", "dataset", 2),
+    ("sweep", "variable", 5), ("sweep", "grid", 0.7),
+    ("sweep", "grid", ["0.7"]), ("sweep", "grid", [[0.7]]),
+    ("sweep", "grid", [None]),
+    ("sim", "M", 10.5), ("sim", "N", "20"), ("sim", "L", True),
+    ("sim", "q", True), ("sim", "q", "0.5"), ("sim", "beta_a", "2"),
+    ("sim", "beta_b", None), ("sim", "wbar", "0.7"),
+    ("sim", "beta_tol", [0.01]),
+    ("misspec", "M1", 1.5), ("misspec", "M2", "3"), ("misspec", "N1", None),
+    ("misspec", "N2", False), ("misspec", "block", [[0.9, "0.6"]]),
+    ("misspec", "q", "0.3"),
+    ("dataset", "path", 3), ("dataset", "format", 1), ("dataset", "truth", 5),
+    ("dataset", "L", 2.5), ("dataset", "binary", "false"),
+]
+
+VALID_PARAMS = {
+    "wmv-hds": {"q": 1.0, "weights": [1, 1], "accuracies": [0.8, 0.6],
+                "L": 2, "N": 50},
+    "hyperplane": {"q": [1, 1], "weights": [1, 1], "shift": 0.2,
+                   "p_plus": [0.8, 0.7], "p_minus": [0.6, 0.9], "N": 100},
+    "mv-hds": {"q": 1.0, "mean_accuracy": 0.7, "M": 10, "L": 2},
+    "oswmv": {"accuracies": [0.8] * 15, "N": 2000},
+    "general": {"scores": [[[0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]]],
+                "shifts": [0, 0], "assignment_kind": "constant",
+                "assignment": 1.0,
+                "tables": [[[0.8, 0.2], [0.2, 0.8]], [[0.6, 0.4], [0.4, 0.6]]],
+                "N": 200},
+}
+# (scenario, key, a value of the wrong kind)
+WRONG_PARAMS = [
+    ("wmv-hds", "q", "x"), ("wmv-hds", "weights", [1, "1"]),
+    ("wmv-hds", "accuracies", {"a": 0.8}), ("wmv-hds", "L", 2.0),
+    ("wmv-hds", "N", 50.5),
+    ("hyperplane", "q", [1, True]), ("hyperplane", "weights", "w"),
+    ("hyperplane", "shift", [0.1]), ("hyperplane", "p_plus", [[0.8], "x"]),
+    ("hyperplane", "p_minus", None), ("hyperplane", "N", True),
+    ("mv-hds", "q", [1.0]), ("mv-hds", "mean_accuracy", "0.7"),
+    ("mv-hds", "M", 10.5), ("mv-hds", "L", True),
+    ("oswmv", "accuracies", None), ("oswmv", "N", 1e3),
+    ("general", "scores", "s"), ("general", "shifts", [True, 0]),
+    ("general", "assignment_kind", 1), ("general", "assignment", "1"),
+    ("general", "tables", [[None]]), ("general", "N", "200"),
+]
+
+
+def keys_of(table, section=""):
+    """(section, key) of every key of a config key table, sections too."""
+    for key, (kind, default, *inner) in table.items():
+        yield section, key
+        if inner:
+            yield from keys_of(inner[0], key)
+
+
+def experiment(tmp_path, config, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["experiment", "--config", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_wrong_kinds_exit_1_and_name_the_key(tmp_path, capsys):
+    assert {(s, k) for s, k, _ in WRONG_CONFIG} == set(keys_of(CONFIG_KEYS))
+    for section, key, value in WRONG_CONFIG:
+        config = json.loads(json.dumps(BASE))
+        (config.setdefault(section, {}) if section else config)[key] = value
+        code, err = experiment(tmp_path, config, capsys)
+        name = f"{section}.{key}" if section else key
+        assert code == 1 and name in err, (name, value, err)
+    assert {(s, k) for s, k, _ in WRONG_PARAMS} == {
+        (scenario, key) for scenario, keys in BOUND_SCENARIOS.items()
+        for key in keys}
+    for scenario, params in VALID_PARAMS.items():
+        assert main(["bounds", "--scenario", scenario,
+                     "--params", json.dumps(params)]) == 0
+    capsys.readouterr()
+    for scenario, key, value in WRONG_PARAMS:
+        params = {**VALID_PARAMS[scenario], key: value}
+        code = main(["bounds", "--scenario", scenario,
+                     "--params", json.dumps(params)])
+        err = capsys.readouterr().err
+        assert code == 1 and repr(key) in err, (scenario, key, err)
+
+
+def test_missing_required_keys_say_where(tmp_path, capsys):
+    dataset = {"scenario": "dataset", "methods": ["mv"],
+               "sweep": {"variable": "s", "grid": [1.0]}}
+    cases = [({k: v for k, v in BASE.items() if k != "scenario"},
+              "the config needs the key 'scenario'"),
+             ({k: v for k, v in BASE.items() if k != "methods"},
+              "the config needs the key 'methods'"),
+             (dataset, "the 'dataset' scenario needs dataset.path"),
+             ({**dataset, "dataset": {"path": None}},
+              "the 'dataset' scenario needs dataset.path")]
+    for config, message in cases:
+        assert experiment(tmp_path, config, capsys) == (1, f"error: {message}\n")
+    params = {key: value for key, value in VALID_PARAMS["wmv-hds"].items()
+              if key != "L"}
+    assert main(["bounds", "--scenario", "wmv-hds",
+                 "--params", json.dumps(params)]) == 1
+    assert "'wmv-hds' --params needs the key 'L'" in capsys.readouterr().err
+
+
+def test_wbar_outside_the_unit_interval_exits_1(tmp_path, capsys):
+    for wbar in (0.0, 1.0, 1.2):
+        grid = {**BASE, "sweep": {"variable": "wbar", "grid": [0.7, wbar]}}
+        fixed = {**BASE, "sweep": {"variable": "M", "grid": [5]},
+                 "sim": {**BASE["sim"], "wbar": wbar}}
+        for config in (grid, fixed):
+            code, err = experiment(tmp_path, config, capsys)
+            assert code == 1 and "wbar" in err, (config, err)
+    assert experiment(tmp_path, {**BASE, "sim": {"wbar": 0.9}},
+                      capsys)[0] == 0
+
+
+def test_spelled_out_defaults_equal_absent_keys(tmp_path, capsys):
+    """The defaults README documents are the ones the trials read."""
+    labels = tmp_path / "labels.csv"
+    labels.write_text("worker,item,label\n" + "".join(
+        f"w{w},i{i},{1 + (w * i) % 2}\n" for w in range(4) for i in range(30)))
+    defaults = {
+        "": {"trials": 1, "master_seed": 0, "record_timing": False,
+             "fixed_iterations": None},
+        "sweep": {"variable": "none", "grid": [0.0]},
+        "sim": {"M": 31, "N": 200, "L": 3, "q": 0.3, "beta_a": 2.3,
+                "beta_b": 2.0, "wbar": None, "beta_tol": 0.01},
+        "misspec": {"M1": 15, "M2": 15, "N1": 300, "N2": 300,
+                    "block": [[0.9, 0.6], [0.5, 0.7]], "q": 0.3},
+        "dataset": {"format": "csv-triples", "truth": None, "L": 2,
+                    "binary": False},
+    }
+    methods = ["mv", "wmv", "iwmv", "oswmv", "em-hds", "oracle-map"]
+    given = [{"scenario": "hds-sweep", "methods": methods},
+             {"scenario": "misspecified", "methods": methods},
+             {"scenario": "dataset", "methods": methods,
+              "sweep": {"variable": "s", "grid": [1.0]},
+              "dataset": {"path": str(labels)}}]
+    for config in given:
+        spelled = {**defaults[""], **config}
+        for section in ("sweep", "sim", "misspec", "dataset"):
+            spelled[section] = {**defaults[section], **config.get(section, {})}
+        bodies = []
+        for name, raw in (("given", config), ("spelled", spelled)):
+            stem = tmp_path / name
+            code, _ = experiment(tmp_path, {**raw, "output": str(stem)}, capsys)
+            assert code == 0, raw
+            bodies.append([Path(f"{stem}{suffix}").read_bytes().split(b"\n", 1)[1]
+                           for suffix in (".csv", ".jsonl")])
+        assert bodies[0] == bodies[1], config["scenario"]
+
+
+def readme_config_tables():
+    """{section: {key: (kind, default)}} from README's config key tables."""
+    tables, section = {}, None
+    for line in README.read_text().splitlines():
+        heading = re.fullmatch(r"#### (Top level|`(\w+)`)", line)
+        if heading:
+            section = tables.setdefault(heading[2] or "", {})
+        elif line.startswith("#"):
+            section = None
+        elif section is not None and line.startswith("| `"):
+            key, kind, default = [cell.strip() for cell in line.split("|")[1:4]]
+            section[key.strip("`")] = (
+                kind, REQUIRED if default == "required"
+                else json.loads(default.strip("`")))
+    return tables
+
+
+def test_readme_lists_the_config_keys():
+    code = {}
+    for section, key in keys_of(CONFIG_KEYS):
+        table = CONFIG_KEYS if not section else CONFIG_KEYS[section][2]
+        kind, default = table[key][:2]
+        code.setdefault(section, {})[key] = (
+            kind, default if default is REQUIRED
+            else json.loads(json.dumps(default)))
+    assert readme_config_tables() == code
+
+
+def test_readme_lists_the_bounds_params():
+    """Each README row names the scenario's keys; a key without a kind is of
+    kind numbers, and ``?`` marks the keys that have a default."""
+    rows = {}
+    for line in README.read_text().splitlines():
+        row = re.fullmatch(r"\| `([\w-]+)` +\| (.*) \|", line)
+        if row and row[1] in BOUND_SCENARIOS:
+            rows[row[1]] = {
+                key: (kind or "numbers", optional == "?")
+                for key, optional, kind in re.findall(
+                    r"`(\w+)`(\??)(?: ([a-z]+))?", row[2])}
+    assert rows == {
+        scenario: {key: (kind, default is not REQUIRED)
+                   for key, (kind, default) in keys.items()}
+        for scenario, keys in BOUND_SCENARIOS.items()}
