@@ -8,7 +8,6 @@ files, domain errors), 2 for unexpected runtime failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -43,12 +42,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_csv(path, header, *columns):
-    """Write a header row, then one row per position of the columns."""
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer of at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _write_csv(path, header: str, row: str, *columns):
+    """Write the line ``header``, then ``row.format`` of each position of
+    the columns, with the CRLF line ends of :func:`csv.writer`; no cell may
+    hold a comma, a quote or a line break, which it would quote."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        handle.write(header + "\r\n")
+        handle.write("".join(map((row + "\r\n").format, *columns)))
 
 
 def _cmd_simulate(args) -> int:
@@ -70,12 +78,12 @@ def _cmd_simulate(args) -> int:
                        seed=args.seed)
     out = simulate_dataset(config)
     labels = out.labels
-    _write_csv(args.out_labels, ["worker", "item", "label"],
-               [f"w{i}" for i in labels.workers], [f"i{j}" for j in labels.items],
+    _write_csv(args.out_labels, "worker,item,label", "w{},i{},{}",
+               labels.workers.tolist(), labels.items.tolist(),
                label_set.to_external(labels.labels).tolist())
     if args.out_truth:
-        _write_csv(args.out_truth, ["item", "label"],
-                   [f"i{j}" for j in range(len(out.truth))],
+        _write_csv(args.out_truth, "item,label", "i{},{}",
+                   range(len(out.truth)),
                    label_set.to_external(out.truth).tolist())
     print(json.dumps({"workers": args.workers, "items": args.items,
                       "labels": out.labels.num_labels,
@@ -89,7 +97,7 @@ def _cmd_aggregate(args) -> int:
                                       label_set=label_set)
     predictions, iterations = METHODS[args.method].run(labels, None, {})
     if args.out:
-        _write_csv(args.out, ["item", "label"], item_ids,
+        _write_csv(args.out, "item,label", "{},{}", item_ids,
                    label_set.to_external(predictions).tolist())
     summary = {"method": args.method, "items": len(item_ids)}
     if iterations is not None:
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--accuracies", default=None,
                      help="comma-separated per-worker accuracies "
                           "(overrides the beta sampler)")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--binary", action="store_true")
     sim.add_argument("--out-labels", required=True)
     sim.add_argument("--out-truth", default=None)
@@ -258,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     summ.add_argument("--binary", action="store_true")
     summ.add_argument("--format", default="csv-triples", choices=LABEL_FORMATS)
     summ.add_argument("--subsample", type=float, default=None)
-    summ.add_argument("--seed", type=int, default=0)
+    summ.add_argument("--seed", type=_seed, default=0)
     summ.set_defaults(func=_cmd_summarize)
     return parser
 

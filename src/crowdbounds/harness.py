@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import numbers
 import os
 import time
@@ -80,62 +81,96 @@ class UnknownLabel(ValueError):
 LABEL_FORMATS = ("csv-triples", "dense-csv")
 
 
-def _read_rows(path, header: tuple, label_set: LabelSet):
-    """Yield the non-blank rows of a label CSV with their labels decoded.
+def _read_table(path, header: tuple, label_set: LabelSet):
+    """Read a label CSV whole and decode it.
 
     A keyed file starts with the line ``header`` (``worker,item,label`` or
-    ``item,label``); each row holds key fields and one label and is yielded
-    as the stripped keys followed by the label's internal class. A dense
-    grid (``header=()``) has neither: every field is a label, 0 marks a
-    missing one, and each row is yielded as the list of its classes (0 kept).
-    Every row must have as many fields as the header or, in a grid, as its
-    first row, and every label token must be an integer in the one token
-    table built from :meth:`LabelSet.to_external`.
+    ``item,label``); each row holds key fields and one label. It comes back
+    as, per key column, a dict from each stripped key to its
+    first-appearance position, then the rows' key positions and the labels'
+    internal classes, sorted by key (the first column first, stably); no two
+    rows may share every key. A dense grid (``header=()``) has neither:
+    every field is a label, 0 marks a missing one, and the classes come back
+    as a (rows, width) array.
+
+    Lines may end in LF, CRLF or a lone CR, empty lines are skipped, and
+    cells are stripped of surrounding whitespace. Every row must have as
+    many fields as the header or, in a grid, as its first row, and every
+    label token must be an integer in the one token table built from
+    :meth:`LabelSet.to_external`. No quoting is parsed: a double quote is
+    an error. Each check runs over whole columns, and the error raised is
+    the first faulty line's, as a line-by-line reader finds it: a quote or
+    field count first, then a label, then a repeated key.
     """
     classes = range(1, label_set.num_classes + 1)
     class_of = dict(zip(label_set.to_external(classes).tolist(), classes))
     if not header:
         class_of[0] = 0
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        if header:
-            first = next(reader, None)
-            if first is None:
-                raise EmptyMatrix(f"{path} is empty")
-            if [cell.strip().lower() for cell in first] != list(header):
-                raise ParseError(1, f"expected header {','.join(header)!r}")
-        width = len(header)
-        for row in reader:
-            if not row:
-                continue
-            width = width or len(row)
-            if len(row) != width:
-                raise ParseError(reader.line_num,
-                                 f"expected {width} fields, got {len(row)}")
-            try:
-                if header:
-                    *keys, token = [cell.strip() for cell in row]
-                    decoded = (*keys, class_of[int(token)])
-                else:
-                    decoded = list(map(class_of.__getitem__, map(int, row)))
-            except (KeyError, ValueError):
-                raise _bad_label(reader.line_num, row[-1:] if header else row,
-                                 class_of, label_set.num_classes) from None
-            yield decoded
-
-
-def _bad_label(line: int, tokens, class_of: dict, num_classes: int) -> ValueError:
-    """The error for the first label token that is not an integer
-    (:class:`ParseError`) or not in ``class_of`` (:class:`UnknownLabel`);
-    callers pass tokens that hold one."""
-    for token in tokens:
-        try:
-            value = int(token)
-        except ValueError:
-            return ParseError(line, f"label {token.strip()!r} is not an integer")
-        if value not in class_of:
-            return UnknownLabel(f"line {line}: label {value} is not one of "
-                                f"the {num_classes} classes")
+    with open(path) as handle:  # universal newlines: CRLF and CR read as LF
+        text = handle.read()
+    lines = text.split("\n")
+    # Where each line ends, and its commas and quotes, counted on the bytes.
+    data = np.frombuffer(text.encode(), np.uint8)
+    ends = np.append(np.flatnonzero(data == ord("\n")), data.size)
+    commas, quotes = (np.diff(np.searchsorted(np.flatnonzero(data == ord(c)),
+                                              ends), prepend=0) for c in ',"')
+    if header:
+        if not text:
+            raise EmptyMatrix(f"{path} is empty")
+        if quotes[0]:
+            raise ParseError(1, "quoted fields are not supported")
+        if [cell.strip().lower() for cell in lines[0].split(",")] != list(header):
+            raise ParseError(1, f"expected header {','.join(header)!r}")
+    start = 1 if header else 0
+    # The 0-based line of each row: rows are the lines that are not empty.
+    numbers = np.flatnonzero(np.diff(ends, prepend=-1)[start:] > 1) + start
+    rows = list(filter(None, lines[start:]))
+    width = len(header) or 1 + (int(commas[numbers[0]]) if rows else 0)
+    per_row = 1 if header else width  # label tokens per row
+    error = None  # the first faulty row's, raised if no earlier row fails
+    bad = np.flatnonzero((commas[numbers] != width - 1) | (quotes[numbers] > 0))
+    if bad.size:
+        line = int(numbers[bad[0]])
+        error = ParseError(line + 1, "quoted fields are not supported"
+                           if quotes[line] else
+                           f"expected {width} fields, got {commas[line] + 1}")
+        rows = rows[:bad[0]]
+    cells = list(map(str.strip, ",".join(rows).split(","))) if rows else []
+    del lines, rows  # the cells hold what is read from here on
+    tokens = cells[width - 1::width] if header else cells
+    by_token = {str(value): code for value, code in class_of.items()}
+    for token in set(tokens).difference(by_token):  # such as "01", "+1", "x"
+        with contextlib.suppress(ValueError):
+            by_token[token] = class_of.get(int(token))  # None: not a class
+    codes = list(map(by_token.get, tokens))
+    k = codes.index(None) if None in codes else len(codes)  # first bad token
+    if k < len(codes):
+        token, line = tokens[k], int(numbers[k // per_row]) + 1
+        error = (UnknownLabel(f"line {line}: label {int(token)} is not one of "
+                              f"the {label_set.num_classes} classes")
+                 if token in by_token else
+                 ParseError(line, f"label {token!r} is not an integer"))
+    n = k // per_row  # the rows before the first faulty one
+    del codes[n * per_row:]
+    classes = np.array(codes, dtype=np.int64)
+    if not header:
+        if error:
+            raise error
+        return [], [], classes.reshape(n, width)
+    indices = [{} for _ in header[1:]]  # a key's first-appearance position
+    keys = [np.array([index.setdefault(key, len(index))
+                      for key in cells[column:n * width:width]], dtype=np.int64)
+            for column, index in enumerate(indices)]
+    cell = np.ravel_multi_index(keys, [len(index) for index in indices])
+    order = np.argsort(cell, kind="stable")
+    repeats = order[1:][np.diff(cell[order]) == 0]
+    if repeats.size:
+        row = repeats.min() * width
+        # A truth file's repeated item is reported for the worker "<truth>".
+        raise DuplicateLabel(*["<truth>", *cells[row:row + width - 1]][-2:])
+    if error:
+        raise error
+    return indices, [key[order] for key in keys], classes[order]
 
 
 def load_labels(path, fmt: str = "csv-triples", *, label_set: LabelSet):
@@ -146,38 +181,24 @@ def load_labels(path, fmt: str = "csv-triples", *, label_set: LabelSet):
     first-appearance order and the original ids are returned for
     round-tripping. ``dense-csv`` expects a headerless integer grid, one row
     per worker, with 0 marking missing entries; its ids are the 0-based row
-    and column numbers. Both formats are read by one row loop, with the same
+    and column numbers. Both formats are read by one reader, with the same
     rules and messages, and a file without a single label is rejected.
     """
     if fmt not in LABEL_FORMATS:
         raise DomainError(f"unknown label format {fmt!r}")
     if fmt == "dense-csv":
-        grid = list(_read_rows(path, (), label_set))
-        if not any(map(any, grid)):
+        _, _, grid = _read_table(path, (), label_set)
+        if not grid.any():
             raise EmptyMatrix(f"{path} contains no labels")
         labels = LabelMatrix.from_dense(grid, label_set.num_classes)
         return (labels, [str(i) for i in range(labels.num_workers)],
                 [str(j) for j in range(labels.num_items)])
-
-    worker_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    seen: set[tuple[int, int]] = set()
-    workers, items, values = [], [], []
-    for worker, item, label in _read_rows(
-            path, ("worker", "item", "label"), label_set):
-        cell = (worker_index.setdefault(worker, len(worker_index)),
-                item_index.setdefault(item, len(item_index)))
-        if cell in seen:
-            raise DuplicateLabel(worker, item)
-        seen.add(cell)
-        workers.append(cell[0])
-        items.append(cell[1])
-        values.append(label)
-    if not values:
+    (worker_index, item_index), (workers, items), values = _read_table(
+        path, ("worker", "item", "label"), label_set)
+    if not values.size:
         raise EmptyMatrix(f"{path} contains no labels")
-    labels = LabelMatrix(np.array(workers), np.array(items), np.array(values),
-                         len(worker_index), len(item_index),
-                         label_set.num_classes)
+    labels = LabelMatrix(workers, items, values, len(worker_index),
+                         len(item_index), label_set.num_classes)
     return labels, list(worker_index), list(item_index)
 
 
@@ -189,17 +210,16 @@ def load_truth(path, label_set: LabelSet,
     whose item is not among them (an item nobody labelled), which callers
     report rather than drop silently.
     """
-    by_item: dict[str, int] = {}
-    for item, label in _read_rows(path, ("item", "label"), label_set):
-        if item in by_item:
-            raise DuplicateLabel("<truth>", item)
-        by_item[item] = label
+    (by_item,), _, labels = _read_table(path, ("item", "label"), label_set)
     missing = [item for item in item_ids if item not in by_item]
     if missing:
         raise DomainError(f"truth file lacks labels for {len(missing)} items "
                           f"(first: {missing[0]!r})")
-    truth = np.array([by_item[item] for item in item_ids], dtype=np.int64)
+    truth = labels[list(map(by_item.__getitem__, item_ids))]
     return truth, len(by_item) - len(item_ids)
+
+
+_DRAW_BLOCK = 1 << 20  # grid cells drawn at once by subsample_labels
 
 
 def subsample_labels(labels: LabelMatrix, keep_prob: float,
@@ -209,9 +229,16 @@ def subsample_labels(labels: LabelMatrix, keep_prob: float,
         raise DomainError("keep probability must lie in [0, 1]")
     rng = derive_rng(seed, "subsample")
     # One uniform per grid cell, so each cell's draw is fixed by the seed
-    # alone, whichever cells are observed.
-    grid = rng.random((labels.num_workers, labels.num_items))
-    keep = grid[labels.workers, labels.items] < keep_prob
+    # alone, whichever cells are observed. A generator fills the grid in C
+    # order from one stream, so drawing it in blocks of cells gives the same
+    # numbers in bounded memory; the worker-major triples' cells ascend.
+    cells = labels.workers * labels.num_items + labels.items
+    keep = np.empty(cells.size, dtype=bool)
+    size = labels.num_workers * labels.num_items
+    for first in range(0, size, _DRAW_BLOCK):
+        block = rng.random(min(_DRAW_BLOCK, size - first))
+        lo, hi = np.searchsorted(cells, [first, first + block.size])
+        keep[lo:hi] = block[cells[lo:hi] - first] < keep_prob
     return LabelMatrix(labels.workers[keep], labels.items[keep],
                        labels.labels[keep], labels.num_workers,
                        labels.num_items, labels.num_classes)
@@ -279,14 +306,16 @@ class ResultRow:
 
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
-# The JSON kinds of experiment-config and ``bounds --params`` values. True
-# and false are not numbers; an integer is written without a fractional part,
-# a whole number is any number without one (2.0 reads as 2).
+# The JSON kinds of experiment-config and ``bounds --params`` values. A
+# number is finite, and true and false are not numbers; an integer is written
+# without a fractional part, a whole number is any number without one (2.0
+# reads as 2).
 KINDS = {
     "integer": lambda x: KINDS["number"](x) and isinstance(x, numbers.Integral),
     "whole number": lambda x: KINDS["integer"](x) or (
         isinstance(x, float) and x.is_integer()),
-    "number": lambda x: isinstance(x, numbers.Real) and not isinstance(x, bool),
+    "number": lambda x: isinstance(x, numbers.Real) and not isinstance(
+        x, bool) and (isinstance(x, numbers.Integral) or math.isfinite(x)),
     "numbers": lambda x: KINDS["number"](x) or (
         isinstance(x, (list, tuple)) and all(map(KINDS["numbers"], x))),
     "string": lambda x: isinstance(x, str),
@@ -473,6 +502,9 @@ class ExperimentConfig:
             raise DomainError(f"unknown scenario {self.scenario!r}")
         if self.trials < 1:
             raise DomainError("at least one trial is required")
+        if self.master_seed < 0:
+            raise DomainError(f"master_seed must not be negative, got "
+                              f"{self.master_seed}")
         if not self.methods:
             raise DomainError("at least one method is required")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]

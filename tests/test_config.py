@@ -27,7 +27,9 @@ WRONG_CONFIG = [
     ("sweep", "grid", ["0.7"]), ("sweep", "grid", [[0.7]]),
     ("sweep", "grid", [None]),
     ("sim", "M", 10.5), ("sim", "N", "20"), ("sim", "L", True),
-    ("sim", "q", True), ("sim", "q", "0.5"), ("sim", "beta_a", "2"),
+    ("sim", "q", True), ("sim", "q", "0.5"), ("sim", "q", float("nan")),
+    ("sim", "beta_a", "2"), ("sim", "beta_a", float("inf")),
+    ("sweep", "grid", [0.7, float("-inf")]),
     ("sim", "beta_b", None), ("sim", "wbar", "0.7"),
     ("sim", "beta_tol", [0.01]),
     ("misspec", "M1", 1.5), ("misspec", "M2", "3"), ("misspec", "N1", None),
@@ -64,6 +66,9 @@ WRONG_PARAMS = [
     ("general", "scores", "s"), ("general", "shifts", [True, 0]),
     ("general", "assignment_kind", 1), ("general", "assignment", "1"),
     ("general", "tables", [[None]]), ("general", "N", "200"),
+    ("general", "tables", [[[0.8, float("nan")], [0.2, 0.8]],
+                           [[0.6, 0.4], [0.4, 0.6]]]),
+    ("hyperplane", "shift", float("inf")),
 ]
 
 
@@ -122,6 +127,20 @@ def test_missing_required_keys_say_where(tmp_path, capsys):
     assert main(["bounds", "--scenario", "wmv-hds",
                  "--params", json.dumps(params)]) == 1
     assert "'wmv-hds' --params needs the key 'L'" in capsys.readouterr().err
+
+
+def test_negative_seeds_exit_1_and_name_the_key(tmp_path, capsys):
+    code, err = experiment(tmp_path, {**BASE, "master_seed": -1}, capsys)
+    assert code == 1 and "master_seed" in err, err
+    labels = tmp_path / "labels.csv"
+    labels.write_text("worker,item,label\nw1,i1,1\n")
+    for argv in (["simulate", "--workers", "2", "--items", "3", "--seed", "-1",
+                  "--out-labels", str(tmp_path / "out.csv")],
+                 ["summarize", "--in", str(labels), "--subsample", "0.5",
+                  "--seed", "-2"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "non-negative" in err, (argv, err)
 
 
 def test_wbar_outside_the_unit_interval_exits_1(tmp_path, capsys):

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -180,6 +182,44 @@ class TestTruthAndSubsample:
         before = summarize_dataset(labels)
         after = summarize_dataset(subsample_labels(labels, 1.0, seed=0))
         assert before.to_dict() == after.to_dict()
+
+    @pytest.mark.parametrize("block", [1, 7, 101, 1000, 1 << 20])
+    def test_subsample_blocks_draw_the_whole_grid_s_numbers(self, monkeypatch,
+                                                             block):
+        """Drawn in blocks of cells, split anywhere in a row, the uniforms
+        are those of one (workers, items) grid drawn at once."""
+        rng = np.random.default_rng(block)
+        grid = rng.integers(1, 4, (37, 101)) * (rng.random((37, 101)) < 0.2)
+        labels = LabelMatrix.from_dense(grid, 3)
+        monkeypatch.setattr(harness, "_DRAW_BLOCK", block)
+        kept = subsample_labels(labels, 0.4, seed=12)
+        draws = harness.derive_rng(12, "subsample").random((37, 101))
+        expected = LabelMatrix.from_dense(np.where(draws < 0.4, grid, 0), 3)
+        assert np.array_equal(kept.dense(), expected.dense())
+
+    def test_subsample_of_a_large_sparse_grid_stays_small(self, tmp_path):
+        """``summarize --subsample`` on 20,000 x 20,000 cells (40,000 labels)
+        runs under a 1 GiB address-space limit that a whole grid of
+        uniforms (3.2 GB) would exceed."""
+        path = tmp_path / "labels.csv"
+        n = 20_000
+        path.write_text("worker,item,label\n" + "".join(
+            f"w{k},i{(k + shift) % n},{1 + shift}\n"
+            for shift in (0, 1) for k in range(n)))
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from crowdbounds.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", child, "summarize", "--in", str(path),
+             "--subsample", "0.5", "--seed", "3"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        summary = json.loads(done.stdout)
+        assert (summary["num_workers"], summary["num_items"]) == (n, n)
+        assert abs(summary["num_labels"] - n) < 4 * np.sqrt(2 * n * 0.25)
 
 
 class TestSummarize:
