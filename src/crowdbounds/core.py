@@ -247,7 +247,7 @@ class Prior:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 2:
             raise DomainError("prior must be a vector over at least two classes")
-        if probs.min() < 0:
+        if not (probs >= 0).all():
             raise DomainError("prior probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > PROB_ATOL:
             raise DomainError("prior must sum to one")
@@ -282,7 +282,7 @@ class AssignmentModel:
         if value.ndim != expected_ndim:
             raise DimensionMismatch(
                 f"{self.kind} assignment expects {expected_ndim}-d probabilities")
-        if value.size == 0 or value.min() <= 0 or value.max() > 1:
+        if value.size == 0 or not ((value > 0) & (value <= 1)).all():
             raise DomainError("assignment probabilities must lie in (0, 1]")
         object.__setattr__(self, "value", value if self.kind != "constant" else float(value))
 
@@ -366,20 +366,19 @@ class WorkerModel:
         if self.kind == "gds":
             if params.ndim != 3 or params.shape[1:] != (L, L):
                 raise DimensionMismatch("gds tables must have shape (M, L, L)")
-            if params.min() < -PROB_ATOL or params.max() > 1 + PROB_ATOL:
+            if not ((params >= -PROB_ATOL) & (params <= 1 + PROB_ATOL)).all():
                 raise DomainError("confusion probabilities must lie in [0, 1]")
             if np.abs(params.sum(axis=2) - 1.0).max() > PROB_ATOL:
                 raise DomainError("each confusion row must sum to one")
         elif self.kind == "sds":
             if params.ndim != 2 or params.shape[1] != L:
                 raise DimensionMismatch("sds accuracies must have shape (M, L)")
-            if params.min() < 0 or params.max() > 1:
+            if not ((params >= 0) & (params <= 1)).all():
                 raise DomainError("per-class accuracies must lie in [0, 1]")
         elif self.kind == "hds":
             if params.ndim != 1:
                 raise DimensionMismatch("hds accuracies must have shape (M,)")
-            if params.size and (params.min() < 0 or params.max() > 1):
-                raise DomainError("accuracies must lie in [0, 1]")
+            check_accuracies(params)
         else:
             raise DomainError(f"unknown worker model kind {self.kind!r}")
         object.__setattr__(self, "params", params)

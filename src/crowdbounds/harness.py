@@ -21,7 +21,7 @@ import os
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -50,6 +50,7 @@ from .core import (
 from .em import EmConfig, em_fit, em_map_predict
 from .simulate import (
     SimConfig,
+    cell_uniforms,
     derive_rng,
     make_misspecified_dataset,
     sample_workers_beta,
@@ -219,26 +220,15 @@ def load_truth(path, label_set: LabelSet,
     return truth, len(by_item) - len(item_ids)
 
 
-_DRAW_BLOCK = 1 << 20  # grid cells drawn at once by subsample_labels
-
-
 def subsample_labels(labels: LabelMatrix, keep_prob: float,
                      seed: int = 0) -> LabelMatrix:
     """Keep every observed label independently with the given probability."""
     if not 0 <= keep_prob <= 1:
         raise DomainError("keep probability must lie in [0, 1]")
-    rng = derive_rng(seed, "subsample")
-    # One uniform per grid cell, so each cell's draw is fixed by the seed
-    # alone, whichever cells are observed. A generator fills the grid in C
-    # order from one stream, so drawing it in blocks of cells gives the same
-    # numbers in bounded memory; the worker-major triples' cells ascend.
-    cells = labels.workers * labels.num_items + labels.items
-    keep = np.empty(cells.size, dtype=bool)
-    size = labels.num_workers * labels.num_items
-    for first in range(0, size, _DRAW_BLOCK):
-        block = rng.random(min(_DRAW_BLOCK, size - first))
-        lo, hi = np.searchsorted(cells, [first, first + block.size])
-        keep[lo:hi] = block[cells[lo:hi] - first] < keep_prob
+    # One uniform per grid cell, whichever cells are observed.
+    keep = cell_uniforms(derive_rng(seed, "subsample"),
+                         labels.workers * labels.num_items + labels.items,
+                         (labels.num_workers, labels.num_items)) < keep_prob
     return LabelMatrix(labels.workers[keep], labels.items[keep],
                        labels.labels[keep], labels.num_workers,
                        labels.num_items, labels.num_classes)
@@ -255,7 +245,7 @@ class DatasetSummary:
     mean_worker_accuracy: float | None = None
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["labels_per_worker"] = self.labels_per_worker.tolist()
         if self.mean_worker_accuracy is None:
             del out["mean_worker_accuracy"]
@@ -301,7 +291,7 @@ class ResultRow:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in RESULT_COLUMNS}
 
 
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))

@@ -38,6 +38,42 @@ def derive_rng(master_seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
+_DRAW_BLOCK = 1 << 20  # most uniforms a sampler holds at once
+
+
+def _uniform_blocks(rng: np.random.Generator, shape: tuple[int, int]):
+    """Yield ``(first, cells, draws)`` for one grid of uniforms of ``shape``,
+    at most :data:`_DRAW_BLOCK` at a time: ``draws`` holds the grid slice
+    ``cells``, whole rows or part of one row, so its flat cells are ``first,
+    first + 1, ...``. A generator fills an array in C order from one stream,
+    so these are the numbers of the whole grid drawn at once, each fixed by
+    the seed alone. The next block overwrites ``draws``."""
+    M, N = shape
+    rows, width = max(1, _DRAW_BLOCK // N), min(N, _DRAW_BLOCK)
+    buffer = np.empty(min(M, rows) * width)
+    for row in range(0, M, rows):
+        for column in range(0, N, width):
+            height, length = min(rows, M - row), min(width, N - column)
+            draws = rng.random(out=buffer[:height * length].reshape(height, length))
+            yield row * N + column, np.s_[row:row + rows, column:column + width], draws
+
+
+def _observed_cells(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """The ascending flat cells of ``probs`` whose uniform lies below it."""
+    return np.concatenate([np.flatnonzero(draws < probs[cells]) + first
+                           for first, cells, draws in _uniform_blocks(rng, probs.shape)])
+
+
+def cell_uniforms(rng: np.random.Generator, cells: np.ndarray,
+                  shape: tuple[int, int]) -> np.ndarray:
+    """The uniforms of the ascending flat ``cells`` of one grid of ``shape``."""
+    out = np.empty(cells.size)
+    for first, _, draws in _uniform_blocks(rng, shape):
+        lo, hi = np.searchsorted(cells, [first, first + draws.size])
+        out[lo:hi] = draws.ravel()[cells[lo:hi] - first]
+    return out
+
+
 def sample_workers_beta(num_workers: int, a: float, b: float, target_mean: float,
                         tol: float = 0.01, seed: int = 0,
                         max_batches: int = 100_000) -> np.ndarray:
@@ -47,11 +83,11 @@ def sample_workers_beta(num_workers: int, a: float, b: float, target_mean: float
     lands within ``tol`` of ``target_mean``; resampling individual workers
     would distort the marginal distribution.
     """
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise DomainError("beta shape parameters must be positive")
     if not 0 < target_mean < 1:
         raise DomainError("target mean must lie strictly inside (0, 1)")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tolerance must be positive")
     if num_workers < 1:
         raise DomainError("at least one worker is required")
@@ -106,11 +142,9 @@ def simulate_dataset(config: SimConfig) -> SimOutput:
     rng = derive_rng(config.seed, "simulate")
     M, N, L = config.num_workers, config.num_items, config.num_classes
     truth = rng.choice(np.arange(1, L + 1), size=N, p=config.prior.probs)
-    probs = config.assignment.full(M, N)
-    workers, items = np.nonzero(rng.random((M, N)) < probs)
-    # The label uniforms are drawn for the whole grid, so each cell's draw
-    # is fixed by the seed alone, whichever cells are observed.
-    draws = rng.random((M, N))[workers, items]
+    cells = _observed_cells(rng, config.assignment.full(M, N))
+    workers, items = np.divmod(cells, N)
+    draws = cell_uniforms(rng, cells, (M, N))
     cdf = np.cumsum(config.worker_model.as_gds(), axis=2)[workers, truth[items] - 1]
     sampled = (draws[:, None] > cdf).sum(axis=1) + 1
     np.minimum(sampled, L, out=sampled)  # guard against cumsum rounding
@@ -129,7 +163,7 @@ def make_misspecified_dataset(group1_size: int, group2_size: int,
     block = np.asarray(accuracy_block, dtype=float)
     if block.shape != (2, 2):
         raise DimensionMismatch("accuracy block must be 2x2")
-    if block.min() < 0 or block.max() > 1:
+    if not ((block >= 0) & (block <= 1)).all():
         raise DomainError("block accuracies must lie in [0, 1]")
     if not 0 < q <= 1:
         raise DomainError("assignment probability must lie in (0, 1]")
@@ -139,9 +173,10 @@ def make_misspecified_dataset(group1_size: int, group2_size: int,
     M = group1_size + group2_size
     N = set1_size + set2_size
     truth = rng.integers(1, 3, size=N)
-    workers, items = np.nonzero(rng.random((M, N)) < q)
+    cells = _observed_cells(rng, np.broadcast_to(q, (M, N)))
+    workers, items = np.divmod(cells, N)
     accuracy = block[(workers >= group1_size).astype(int),
                      (items >= set1_size).astype(int)]
-    correct = rng.random((M, N))[workers, items] < accuracy
+    correct = cell_uniforms(rng, cells, (M, N)) < accuracy
     labels = np.where(correct, truth[items], 3 - truth[items])
     return SimOutput(truth, LabelMatrix(workers, items, labels, M, N, 2))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crowdbounds import harness
+from crowdbounds import harness, simulate
 from crowdbounds.core import DomainError, EmptyMatrix, LabelMatrix, LabelSet
 from crowdbounds.harness import (
     KNOWN_METHODS,
@@ -191,7 +191,7 @@ class TestTruthAndSubsample:
         rng = np.random.default_rng(block)
         grid = rng.integers(1, 4, (37, 101)) * (rng.random((37, 101)) < 0.2)
         labels = LabelMatrix.from_dense(grid, 3)
-        monkeypatch.setattr(harness, "_DRAW_BLOCK", block)
+        monkeypatch.setattr(simulate, "_DRAW_BLOCK", block)
         kept = subsample_labels(labels, 0.4, seed=12)
         draws = harness.derive_rng(12, "subsample").random((37, 101))
         expected = LabelMatrix.from_dense(np.where(draws < 0.4, grid, 0), 3)

@@ -1,6 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from crowdbounds import simulate
+from crowdbounds.cli import main
 from crowdbounds.core import AssignmentModel, DomainError, Prior, WorkerModel
 from crowdbounds.simulate import (
     RejectionBudgetExceeded,
@@ -167,3 +176,141 @@ class TestDeriveRng:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Prior([NAN, 0.5]),
+    lambda: AssignmentModel.vector([0.5, NAN]),
+    lambda: WorkerModel.gds([[[NAN, 1.0], [0.5, 0.5]]]),
+    lambda: WorkerModel.sds([[0.7, NAN]]),
+    lambda: WorkerModel.hds([0.7, NAN], 2),
+    lambda: make_misspecified_dataset(2, 2, 5, 5, [[NAN, 0.5], [0.5, 0.5]], 0.5),
+    lambda: sample_workers_beta(5, NAN, 2.0, 0.5),
+    lambda: sample_workers_beta(5, 2.0, 2.0, 0.5, tol=NAN),
+])
+def test_nan_model_values_are_out_of_range(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+@pytest.mark.parametrize("options, quantity", [
+    (["--q", "nan"], "assignment probabilities"),
+    (["--accuracies", "nan,0.7,0.8"], "accuracies"),
+    (["--tol", "nan", "--target-mean", "0.6"], "tolerance"),
+    (["--beta-a", "nan"], "beta shape parameters"),
+])
+def test_simulate_rejects_nan_options_at_once(tmp_path, capsys, options,
+                                              quantity):
+    out = tmp_path / "labels.csv"
+    code = main(["simulate", "--workers", "3", "--items", "5", *options,
+                 "--out-labels", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and quantity in err, err
+    assert not out.exists()
+
+
+def whole_grid_simulate(config):
+    """``simulate_dataset`` drawing each grid of uniforms whole: the
+    reference of the block draws."""
+    rng = derive_rng(config.seed, "simulate")
+    M, N, L = config.num_workers, config.num_items, config.num_classes
+    truth = rng.choice(np.arange(1, L + 1), size=N, p=config.prior.probs)
+    probs = config.assignment.full(M, N)
+    workers, items = np.nonzero(rng.random((M, N)) < probs)
+    draws = rng.random((M, N))[workers, items]
+    cdf = np.cumsum(config.worker_model.as_gds(), axis=2)[workers, truth[items] - 1]
+    sampled = (draws[:, None] > cdf).sum(axis=1) + 1
+    np.minimum(sampled, L, out=sampled)
+    return truth, workers, items, sampled
+
+
+def whole_grid_misspecified(group1_size, group2_size, set1_size, set2_size,
+                            block, q, seed):
+    """``make_misspecified_dataset`` drawing each grid whole."""
+    block = np.asarray(block, dtype=float)
+    rng = derive_rng(seed, "misspecified")
+    M = group1_size + group2_size
+    N = set1_size + set2_size
+    truth = rng.integers(1, 3, size=N)
+    workers, items = np.nonzero(rng.random((M, N)) < q)
+    accuracy = block[(workers >= group1_size).astype(int),
+                     (items >= set1_size).astype(int)]
+    correct = rng.random((M, N))[workers, items] < accuracy
+    return truth, workers, items, np.where(correct, truth[items], 3 - truth[items])
+
+
+def triples(out):
+    labels = out.labels
+    return out.truth, labels.workers, labels.items, labels.labels
+
+
+class TestBlockDraws:
+    """Drawn in blocks of any size, split anywhere in a row, the samplers'
+    uniforms are those of whole grids, so truth and triples are too."""
+
+    M, N, L = 13, 50, 3
+    BLOCKS = [1, 7, 101, N - 1, N + 1, 1 << 20]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("kind", ["constant", "vector", "matrix"])
+    def test_simulate_dataset(self, monkeypatch, block, kind):
+        rng = np.random.default_rng(block)
+        probs = {"constant": 0.3,
+                 "vector": rng.uniform(0.05, 1.0, self.M),
+                 "matrix": rng.uniform(0.05, 1.0, (self.M, self.N))}[kind]
+        config = SimConfig(self.M, self.N, self.L, Prior([0.2, 0.3, 0.5]),
+                           AssignmentModel(kind, probs),
+                           WorkerModel.hds(rng.uniform(0.3, 1, self.M), self.L),
+                           seed=block)
+        monkeypatch.setattr(simulate, "_DRAW_BLOCK", block)
+        for got, want in zip(triples(simulate_dataset(config)),
+                             whole_grid_simulate(config)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_misspecified_dataset(self, monkeypatch, block):
+        args = (5, 8, 20, 30, [[0.9, 0.6], [0.5, 0.7]], 0.4, block)
+        monkeypatch.setattr(simulate, "_DRAW_BLOCK", block)
+        for got, want in zip(triples(make_misspecified_dataset(*args)),
+                             whole_grid_misspecified(*args)):
+            assert np.array_equal(got, want)
+
+
+def test_samplers_hold_one_block_of_uniforms():
+    """At 500 x 20,000 cells (q = 0.01), neither sampler holds a whole grid
+    of uniforms (80 MB)."""
+    config = hds_config(500, 20_000, 3, np.full(500, 0.7), 0.01, seed=1)
+    for sample in (lambda: simulate_dataset(config),
+                   lambda: make_misspecified_dataset(
+                       250, 250, 10_000, 10_000, [[0.9, 0.6], [0.5, 0.7]],
+                       q=0.01, seed=1)):
+        tracemalloc.start()
+        try:
+            sample()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, peak
+
+
+def test_simulate_of_a_large_sparse_grid_stays_small(tmp_path):
+    """``simulate`` on 20,000 x 10,000 cells (about 20,000 labels) runs
+    under a 1 GiB address-space limit that a whole grid of uniforms
+    (1.6 GB) would exceed."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from crowdbounds.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", child, "simulate", "--workers", "20000",
+         "--items", "10000", "--q", "0.0001", "--classes", "3",
+         "--out-labels", str(tmp_path / "labels.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    labels = json.loads(done.stdout)["labels"]
+    assert abs(labels - 20_000) < 4 * np.sqrt(20_000)
