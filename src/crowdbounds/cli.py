@@ -30,7 +30,8 @@ from .harness import (
     summarize_dataset,
     summarize_rows,
 )
-from .simulate import SimConfig, sample_workers_beta, simulate_dataset
+from .simulate import (SimConfig, check_beta_shapes, sample_workers_beta,
+                       simulate_dataset)
 
 
 class UsageError(ValueError):
@@ -66,6 +67,7 @@ def _cmd_simulate(args) -> int:
         if accuracies.size != args.workers:
             raise DomainError("need one accuracy per worker")
     else:
+        check_beta_shapes(args.beta_a, args.beta_b)  # before a / (a + b)
         target = args.target_mean
         if target is None:
             target = args.beta_a / (args.beta_a + args.beta_b)

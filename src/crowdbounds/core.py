@@ -147,28 +147,33 @@ class LabelMatrix:
         return self.labels.size
 
     def labels_per_worker(self) -> np.ndarray:
-        return np.bincount(self.workers, minlength=self.num_workers)
+        return self._worker_counts.copy()
 
     def labels_per_item(self) -> np.ndarray:
         return np.bincount(self.items, minlength=self.num_items)
 
-    # The accumulations below all run through _gather_sum, on bincount keys
-    # built once per matrix: each fit on it reuses them every iteration.
+    # The accumulations below all run through _gather_sum, on keys and
+    # counts built once per matrix: each fit on it reuses them every
+    # iteration.
 
     @cached_property
-    def _label_rows(self) -> np.ndarray:
-        """Row ``worker * L + label - 1`` of an (M * L, L) per-label table."""
-        return self.workers * self.num_classes + self.labels - 1
+    def _worker_counts(self) -> np.ndarray:
+        return np.bincount(self.workers, minlength=self.num_workers)
 
     @cached_property
     def _item_keys(self) -> np.ndarray:
+        """Entries ``item * L + k`` of a flattened (N, L) item table, L per
+        label."""
         L = self.num_classes
         return (self.items[:, None] * L + np.arange(L)).ravel()
 
     @cached_property
     def _worker_keys(self) -> np.ndarray:
+        """Entries ``(worker * L + label - 1) * L + k`` of a flattened
+        (M, L, L) per-label table, L per label."""
         L = self.num_classes
-        return (self._label_rows[:, None] * L + np.arange(L)).ravel()
+        rows = self.workers * L + self.labels - 1
+        return (rows[:, None] * L + np.arange(L)).ravel()
 
     @cached_property
     def _item_cells(self) -> np.ndarray:
@@ -186,8 +191,8 @@ class LabelMatrix:
         label_scores = np.asarray(label_scores, dtype=float)
         if label_scores.shape != (M, L, L):
             raise DimensionMismatch("per-label scores must have shape (M, L, L)")
-        scores = _gather_sum(label_scores.reshape(M * L, L), self._label_rows,
-                             self._item_keys, N * L).reshape(N, L)
+        scores = _gather_sum(label_scores, self._worker_keys, self._item_keys,
+                             N * L).reshape(N, L)
         scores += shifts
         return scores
 
@@ -198,7 +203,7 @@ class LabelMatrix:
         that worker ``i`` labelled ``h``.
         """
         M, L = self.num_workers, self.num_classes
-        return _gather_sum(np.asarray(item_rows, dtype=float), self.items,
+        return _gather_sum(np.asarray(item_rows, dtype=float), self._item_keys,
                            self._worker_keys, M * L * L).reshape(M, L, L)
 
     def worker_accuracies(self, item_rows) -> np.ndarray:
@@ -207,7 +212,7 @@ class LabelMatrix:
         A worker with no labels gets ``1 / L``, the accuracy of guessing.
         """
         agree = self.agreement(item_rows)
-        counts = self.labels_per_worker()
+        counts = self._worker_counts
         out = np.full(self.num_workers, 1.0 / self.num_classes)
         seen = counts > 0
         out[seen] = agree[seen] / counts[seen]
@@ -220,20 +225,18 @@ class LabelMatrix:
         labelling; with posterior rows it is the expected number of correct
         labels.
         """
-        flat = np.asarray(item_rows, dtype=float).reshape(-1, 1)
-        return _gather_sum(flat, self._item_cells, self.workers,
-                           self.num_workers)
+        return _gather_sum(np.asarray(item_rows, dtype=float),
+                           self._item_cells, self.workers, self.num_workers)
 
 
-def _gather_sum(table: np.ndarray, rows: np.ndarray, keys: np.ndarray,
+def _gather_sum(table: np.ndarray, entries: np.ndarray, keys: np.ndarray,
                 size: int) -> np.ndarray:
-    """The label kernel: ``out[keys[t * w + k]] += table[rows[t], k]``.
+    """The label kernel: ``out[keys[t]] += table.flat[entries[t]]``.
 
-    ``table`` has ``w`` columns; the gathered rows are summed by a single
-    bincount, which adds the contributions to each key in triple order.
+    One flat ``take`` gathers the entries and a single bincount sums them,
+    adding the contributions to each key in triple order.
     """
-    out = np.bincount(keys, weights=table.take(rows, axis=0).ravel(),
-                      minlength=size)
+    out = np.bincount(keys, weights=table.take(entries), minlength=size)
     return out.astype(float, copy=False)  # bincount of no labels gives ints
 
 
@@ -483,6 +486,52 @@ def _log_map_rule(tables, prior_probs) -> tuple[np.ndarray, np.ndarray]:
             np.log(np.clip(prior_probs, LOG_FLOOR, None)))
 
 
+# Reductions over the class axis of an (N, L) item table. numpy reduces
+# each short row in its own inner loop, which at three classes costs six to
+# twenty times the arithmetic; these make one ufunc pass per class over
+# strided column views instead, and return numpy's exact bits. Below
+# _IN_ORDER_WIDTH entries numpy adds a row in order, starting from 0.0, and
+# takes its max in order, which decides between -0.0 and 0.0; from that
+# width on it adds pairwise and takes the max in SIMD lanes, so a wider
+# table keeps numpy's own reduction.
+_IN_ORDER_WIDTH = 8
+
+
+def row_max(table: np.ndarray) -> np.ndarray:
+    """``table.max(axis=1)``, with NaN propagated as numpy does."""
+    if not 0 < table.shape[1] < _IN_ORDER_WIDTH:
+        return table.max(axis=1)
+    peak = table[:, 0].copy()
+    for k in range(1, table.shape[1]):
+        np.maximum(peak, table[:, k], out=peak)
+    return peak
+
+
+def row_sum(table: np.ndarray) -> np.ndarray:
+    """``table.sum(axis=1)`` of a float table."""
+    if not 0 < table.shape[1] < _IN_ORDER_WIDTH:
+        return table.sum(axis=1)
+    total = table[:, 0] + 0.0  # numpy's 0.0 start turns a -0.0 into 0.0
+    for k in range(1, table.shape[1]):
+        total += table[:, k]
+    return total
+
+
+def column_mean(table: np.ndarray) -> np.ndarray:
+    """``table.mean(axis=0)`` of a float table.
+
+    numpy adds the rows of a C-ordered table one after another, as
+    ``np.add.accumulate`` adds a column; any other layout (a single row or
+    column included) keeps numpy's own reduction, which may add pairwise.
+    """
+    if not table.flags.c_contiguous or table.flags.f_contiguous:
+        return table.mean(axis=0)
+    running = np.empty(table.shape[0])
+    sums = np.array([np.add.accumulate(table[:, k], out=running)[-1]
+                     for k in range(table.shape[1])])
+    return (sums + 0.0) / table.shape[0]  # + 0.0: numpy's start, as above
+
+
 def normalize_log_posteriors(log_scores: np.ndarray) -> np.ndarray:
     """Turn rows of unnormalised log probabilities into probability rows.
 
@@ -490,9 +539,8 @@ def normalize_log_posteriors(log_scores: np.ndarray) -> np.ndarray:
     result invariant (to rounding) under adding any constant to a whole row.
     """
     log_scores = np.asarray(log_scores, dtype=float)
-    shifted = log_scores - log_scores.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    return probs / probs.sum(axis=1, keepdims=True)
+    probs = np.exp(log_scores - row_max(log_scores)[:, None])
+    return probs / row_sum(probs)[:, None]
 
 
 def map_scores(labels: LabelMatrix, tables, prior_probs) -> np.ndarray:

@@ -19,7 +19,10 @@ from .core import (
     Prior,
     WorkerModel,
     argmax_labels,
+    column_mean,
     map_scores,
+    row_max,
+    row_sum,
     symmetric_tables,
 )
 from .aggregate import majority_vote
@@ -102,7 +105,7 @@ def em_fit(labels: LabelMatrix, config: EmConfig = EmConfig()) -> EmResult:
     for _ in range(config.max_iters):
         iterations += 1
         # M-step
-        prior_hat = rho.mean(axis=0)
+        prior_hat = column_mean(rho)
         if config.model_kind == "gds":
             counts = labels.worker_sums(rho).transpose(0, 2, 1)  # (M, L, L)
             denom = counts.sum(axis=2)  # (M, L)
@@ -114,9 +117,9 @@ def em_fit(labels: LabelMatrix, config: EmConfig = EmConfig()) -> EmResult:
             tables = symmetric_tables(accuracies[:, None], L)
         # E-step
         log_rho = map_scores(labels, tables, prior_hat)
-        peak = log_rho.max(axis=1)
+        peak = row_max(log_rho)
         rho = np.exp(log_rho - peak[:, None])
-        total = rho.sum(axis=1)
+        total = row_sum(rho)
         log_likelihood = float((peak + np.log(total)).sum())
         rho /= total[:, None]
         trace.append(log_likelihood)

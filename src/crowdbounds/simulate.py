@@ -74,6 +74,13 @@ def cell_uniforms(rng: np.random.Generator, cells: np.ndarray,
     return out
 
 
+def check_beta_shapes(a: float, b: float) -> None:
+    """Raise unless both Beta shape parameters are positive and finite,
+    which NaN is not."""
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise DomainError("beta shape parameters must be positive and finite")
+
+
 def sample_workers_beta(num_workers: int, a: float, b: float, target_mean: float,
                         tol: float = 0.01, seed: int = 0,
                         max_batches: int = 100_000) -> np.ndarray:
@@ -83,8 +90,7 @@ def sample_workers_beta(num_workers: int, a: float, b: float, target_mean: float
     lands within ``tol`` of ``target_mean``; resampling individual workers
     would distort the marginal distribution.
     """
-    if not (a > 0 and b > 0):
-        raise DomainError("beta shape parameters must be positive")
+    check_beta_shapes(a, b)
     if not 0 < target_mean < 1:
         raise DomainError("target mean must lie strictly inside (0, 1)")
     if not tol > 0:

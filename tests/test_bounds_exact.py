@@ -21,6 +21,7 @@ from crowdbounds.bounds import (
     high_probability_bound,
     mean_error_bounds,
     per_item_bounds,
+    quantities_wmv_hds,
     score_quantities,
 )
 from crowdbounds.core import (
@@ -40,11 +41,11 @@ RULES = ("random", "shifted", "oracle-map", "mv")
 ASSIGNMENTS = ("constant", "vector", "matrix")
 
 
-def exact_errors(rule: DecomposableRule, tables: np.ndarray,
-                 probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per true class: P(some other class ties or beats it) and P(some other
-    class strictly beats it), for one item whose workers label with
-    probabilities ``probs``."""
+def outcome_scores(rule: DecomposableRule, tables: np.ndarray,
+                   probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every label outcome of one item whose workers label with
+    probabilities ``probs``: its probability under each true class and its
+    aggregated score of each class, both (outcomes, L)."""
     M, L = tables.shape[:2]
     outcomes = np.array(list(itertools.product(range(L + 1), repeat=M)))
     workers = np.arange(M)[None, :]
@@ -56,6 +57,16 @@ def exact_errors(rule: DecomposableRule, tables: np.ndarray,
     # added[i, h, k]: the score worker i's label h adds to class k
     added = np.concatenate([np.zeros((M, 1, L)), rule.scores], axis=1)
     scores = added[workers, outcomes].sum(axis=1) + rule.shifts  # (O, L)
+    return outcome_probs, scores
+
+
+def exact_errors(rule: DecomposableRule, tables: np.ndarray,
+                 probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per true class: P(some other class ties or beats it) and P(some other
+    class strictly beats it), for one item whose workers label with
+    probabilities ``probs``."""
+    outcome_probs, scores = outcome_scores(rule, tables, probs)
+    L = scores.shape[1]
     upper, lower = np.empty(L), np.empty(L)
     for k in range(L):
         others = np.delete(scores, k, axis=1)
@@ -184,3 +195,34 @@ def test_enumeration_matches_a_hand_case():
                                 np.ones(2))
     np.testing.assert_allclose(upper, [1 - 0.8 * 0.6, 1 - 0.8 * 0.6])
     np.testing.assert_allclose(lower, [0.2 * 0.4, 0.2 * 0.4])
+
+
+def test_wmv_hds_closed_form_matches_score_quantities():
+    """``quantities_wmv_hds`` against ``score_quantities`` on the same
+    weighted vote, single-accuracy workers and constant assignment, and its
+    sigma^2 against the enumerated variance of the normalised gap."""
+    for seed in range(150):
+        rng = np.random.default_rng([seed, 1])
+        M, L = int(rng.integers(1, 6)), int(rng.integers(2, 4))
+        weights = rng.uniform(-1.0, 2.0, M)
+        weights[rng.random(M) < 0.2] = 0.0
+        weights[0] = weights[0] or 1.0
+        accuracies = rng.choice([0.0, 1.0, *rng.uniform(0.0, 1.0, 4)], M)
+        q = float(min(rng.uniform(0.2, 1.27), 1.0))
+        closed = quantities_wmv_hds(q, weights, accuracies, L)
+        model = WorkerModel.hds(accuracies, L)
+        rule = DecomposableRule.weighted_indicator(weights, L)
+        general = score_quantities(rule, AssignmentModel.constant(q), model)
+        for name in ("t_low", "t_high", "c"):
+            assert math.isclose(getattr(closed, name), getattr(general, name),
+                                rel_tol=1e-12, abs_tol=1e-15), (seed, name)
+        outcome_probs, scores = outcome_scores(rule, model.as_gds(),
+                                               np.full(M, q))
+        for k, l in itertools.permutations(range(L), 2):
+            gap = (scores[:, k] - scores[:, l]) / closed.score_norm
+            mean = outcome_probs[:, k] @ gap
+            variance = outcome_probs[:, k] @ (gap - mean) ** 2
+            # Every ordered pair of classes shares the one closed-form gap.
+            assert math.isclose(mean, closed.t_low, rel_tol=1e-9,
+                                abs_tol=1e-12), (seed, k, l)
+            assert closed.sigma_sq >= variance - SLACK, (seed, k, l)

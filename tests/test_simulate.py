@@ -53,6 +53,8 @@ class TestSampleWorkersBeta:
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             sample_workers_beta(5, -1.0, 2.0, 0.5)
+        with pytest.raises(DomainError, match="finite"):
+            sample_workers_beta(5, 2.0, float("inf"), 0.5)
         with pytest.raises(DomainError):
             sample_workers_beta(5, 1.0, 2.0, 1.5)
         with pytest.raises(DomainError):
@@ -201,6 +203,12 @@ def test_nan_model_values_are_out_of_range(make):
     (["--accuracies", "nan,0.7,0.8"], "accuracies"),
     (["--tol", "nan", "--target-mean", "0.6"], "tolerance"),
     (["--beta-a", "nan"], "beta shape parameters"),
+    # Infinite shapes are named before the default target a / (a + b) is
+    # formed, and before a given target starts drawing batches.
+    (["--beta-a", "inf"], "beta shape parameters"),
+    (["--beta-b", "inf"], "beta shape parameters"),
+    (["--beta-a", "inf", "--target-mean", "0.6"], "beta shape parameters"),
+    (["--beta-b", "inf", "--target-mean", "0.6"], "beta shape parameters"),
 ])
 def test_simulate_rejects_nan_options_at_once(tmp_path, capsys, options,
                                               quantity):
