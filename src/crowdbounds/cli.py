@@ -51,13 +51,24 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+_WRITE_ROWS = 1 << 14  # rows the CSV writer formats at once
+
+
 def _write_csv(path, header: str, row: str, *columns):
     """Write the line ``header``, then ``row.format`` of each position of
-    the columns, with the CRLF line ends of :func:`csv.writer`; no cell may
-    hold a comma, a quote or a line break, which it would quote."""
+    the columns (numpy arrays, lists or ranges of one length), with the
+    CRLF line ends of :func:`csv.writer`; no cell may hold a comma, a quote
+    or a line break, which it would quote. The rows are formatted and
+    written :data:`_WRITE_ROWS` at a time, so beyond its columns the writer
+    holds one chunk's lists and text."""
+    line = (row + "\r\n").format
     with open(path, "w", newline="") as handle:
         handle.write(header + "\r\n")
-        handle.write("".join(map((row + "\r\n").format, *columns)))
+        for start in range(0, len(columns[0]), _WRITE_ROWS):
+            chunk = (column[start:start + _WRITE_ROWS] for column in columns)
+            handle.write("".join(map(line, *(
+                part.tolist() if isinstance(part, np.ndarray) else part
+                for part in chunk))))
 
 
 def _cmd_simulate(args) -> int:
@@ -81,12 +92,10 @@ def _cmd_simulate(args) -> int:
     out = simulate_dataset(config)
     labels = out.labels
     _write_csv(args.out_labels, "worker,item,label", "w{},i{},{}",
-               labels.workers.tolist(), labels.items.tolist(),
-               label_set.to_external(labels.labels).tolist())
+               labels.workers, labels.items, label_set.to_external(labels.labels))
     if args.out_truth:
         _write_csv(args.out_truth, "item,label", "i{},{}",
-                   range(len(out.truth)),
-                   label_set.to_external(out.truth).tolist())
+                   range(len(out.truth)), label_set.to_external(out.truth))
     print(json.dumps({"workers": args.workers, "items": args.items,
                       "labels": out.labels.num_labels,
                       "mean_accuracy": float(accuracies.mean())}))
@@ -100,7 +109,7 @@ def _cmd_aggregate(args) -> int:
     predictions, iterations = METHODS[args.method].run(labels, None, {})
     if args.out:
         _write_csv(args.out, "item,label", "{},{}", item_ids,
-                   label_set.to_external(predictions).tolist())
+                   label_set.to_external(predictions))
     summary = {"method": args.method, "items": len(item_ids)}
     if iterations is not None:
         summary["iterations"] = iterations

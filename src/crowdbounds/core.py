@@ -481,9 +481,8 @@ def _log_map_rule(tables, prior_probs) -> tuple[np.ndarray, np.ndarray]:
     """Oracle-MAP scores and shifts: the log of the confusion entry
     ``tables[i, k, h - 1]`` at ``[i, h - 1, k]`` and the log prior, both
     floored at ``LOG_FLOOR``."""
-    log_tables = np.log(np.clip(tables, LOG_FLOOR, None))
-    return (log_tables.transpose(0, 2, 1),
-            np.log(np.clip(prior_probs, LOG_FLOOR, None)))
+    log_tables = np.log(np.maximum(tables, LOG_FLOOR))
+    return log_tables.transpose(0, 2, 1), np.log(np.maximum(prior_probs, LOG_FLOOR))
 
 
 # Reductions over the class axis of an (N, L) item table. numpy reduces

@@ -82,8 +82,26 @@ class UnknownLabel(ValueError):
 LABEL_FORMATS = ("csv-triples", "dense-csv")
 
 
+_READ_BLOCK = 1 << 16  # characters of whole lines the label reader decodes at once
+
+
+def _line_blocks(handle):
+    """Yield a text file's lines in blocks of whole lines, each ending in
+    ``"\\n"`` and about :data:`_READ_BLOCK` characters long (a longer line
+    makes a longer block). A last line without a line break gets one."""
+    rest = ""
+    while chunk := handle.read(_READ_BLOCK):
+        rest += chunk
+        cut = rest.rfind("\n") + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest + "\n"
+
+
 def _read_table(path, header: tuple, label_set: LabelSet):
-    """Read a label CSV whole and decode it.
+    """Read a label CSV block by block and decode it.
 
     A keyed file starts with the line ``header`` (``worker,item,label`` or
     ``item,label``); each row holds key fields and one label. It comes back
@@ -99,76 +117,98 @@ def _read_table(path, header: tuple, label_set: LabelSet):
     many fields as the header or, in a grid, as its first row, and every
     label token must be an integer in the one token table built from
     :meth:`LabelSet.to_external`. No quoting is parsed: a double quote is
-    an error. Each check runs over whole columns, and the error raised is
-    the first faulty line's, as a line-by-line reader finds it: a quote or
-    field count first, then a label, then a repeated key.
+    an error.
+
+    The file is read in blocks of whole lines (:func:`_line_blocks`), and
+    each check runs over a block's whole columns; only the int64 key and
+    class arrays of the rows read so far are kept, and the key dicts and
+    token table carry over from block to block. Reading stops at the first
+    faulty block, and the error raised is the first faulty line's, as a
+    line-by-line reader finds it: a repeated key before that line, else its
+    quote or field count, else its label.
     """
     classes = range(1, label_set.num_classes + 1)
     class_of = dict(zip(label_set.to_external(classes).tolist(), classes))
     if not header:
         class_of[0] = 0
-    with open(path) as handle:  # universal newlines: CRLF and CR read as LF
-        text = handle.read()
-    lines = text.split("\n")
-    # Where each line ends, and its commas and quotes, counted on the bytes.
-    data = np.frombuffer(text.encode(), np.uint8)
-    ends = np.append(np.flatnonzero(data == ord("\n")), data.size)
-    commas, quotes = (np.diff(np.searchsorted(np.flatnonzero(data == ord(c)),
-                                              ends), prepend=0) for c in ',"')
-    if header:
-        if not text:
-            raise EmptyMatrix(f"{path} is empty")
-        if quotes[0]:
-            raise ParseError(1, "quoted fields are not supported")
-        if [cell.strip().lower() for cell in lines[0].split(",")] != list(header):
-            raise ParseError(1, f"expected header {','.join(header)!r}")
-    start = 1 if header else 0
-    # The 0-based line of each row: rows are the lines that are not empty.
-    numbers = np.flatnonzero(np.diff(ends, prepend=-1)[start:] > 1) + start
-    rows = list(filter(None, lines[start:]))
-    width = len(header) or 1 + (int(commas[numbers[0]]) if rows else 0)
-    per_row = 1 if header else width  # label tokens per row
-    error = None  # the first faulty row's, raised if no earlier row fails
-    bad = np.flatnonzero((commas[numbers] != width - 1) | (quotes[numbers] > 0))
-    if bad.size:
-        line = int(numbers[bad[0]])
-        error = ParseError(line + 1, "quoted fields are not supported"
-                           if quotes[line] else
-                           f"expected {width} fields, got {commas[line] + 1}")
-        rows = rows[:bad[0]]
-    cells = list(map(str.strip, ",".join(rows).split(","))) if rows else []
-    del lines, rows  # the cells hold what is read from here on
-    tokens = cells[width - 1::width] if header else cells
     by_token = {str(value): code for value, code in class_of.items()}
-    for token in set(tokens).difference(by_token):  # such as "01", "+1", "x"
-        with contextlib.suppress(ValueError):
-            by_token[token] = class_of.get(int(token))  # None: not a class
-    codes = list(map(by_token.get, tokens))
-    k = codes.index(None) if None in codes else len(codes)  # first bad token
-    if k < len(codes):
-        token, line = tokens[k], int(numbers[k // per_row]) + 1
-        error = (UnknownLabel(f"line {line}: label {int(token)} is not one of "
-                              f"the {label_set.num_classes} classes")
-                 if token in by_token else
-                 ParseError(line, f"label {token!r} is not an integer"))
-    n = k // per_row  # the rows before the first faulty one
-    del codes[n * per_row:]
-    classes = np.array(codes, dtype=np.int64)
+    indices = [{} for _ in header[1:]]  # a key's first-appearance position
+    # Per column (the keys', then the classes'), the arrays of each block.
+    columns = [[np.empty(0, np.int64)] for _ in range(len(header) or 1)]
+    width = len(header)  # a grid's is its first row's
+    error, lines_read = None, 0
+    with open(path) as handle:  # universal newlines: CRLF and CR read as LF
+        for text in _line_blocks(handle):
+            # Where each line ends, and its commas and quotes, on the bytes.
+            data = np.frombuffer(text.encode(), np.uint8)
+            ends = np.flatnonzero(data == ord("\n"))
+            commas, quotes = (np.diff(np.searchsorted(
+                np.flatnonzero(data == ord(c)), ends), prepend=0) for c in ',"')
+            lines = text.split("\n")
+            start = 0
+            if header and not lines_read:
+                if quotes[0]:
+                    raise ParseError(1, "quoted fields are not supported")
+                if [cell.strip().lower()
+                        for cell in lines[0].split(",")] != list(header):
+                    raise ParseError(1, f"expected header {','.join(header)!r}")
+                start = 1
+            before, lines_read = lines_read, lines_read + ends.size
+            # The block's 0-based line of each row: the lines that are not empty.
+            numbers = np.flatnonzero(np.diff(ends, prepend=-1)[start:] > 1) + start
+            rows = list(filter(None, lines[start:]))
+            if not rows:
+                continue
+            width = width or 1 + int(commas[numbers[0]])
+            per_row = 1 if header else width  # label tokens per row
+            bad = np.flatnonzero((commas[numbers] != width - 1)
+                                 | (quotes[numbers] > 0))
+            if bad.size:
+                line = int(numbers[bad[0]])
+                error = ParseError(
+                    before + line + 1, "quoted fields are not supported"
+                    if quotes[line] else
+                    f"expected {width} fields, got {commas[line] + 1}")
+                rows = rows[:bad[0]]
+            cells = list(map(str.strip, ",".join(rows).split(","))) if rows else []
+            del lines, rows  # the cells hold what is read from here on
+            tokens = cells[width - 1::width] if header else cells
+            for token in set(tokens).difference(by_token):  # "01", "+1", "x"
+                with contextlib.suppress(ValueError):
+                    by_token[token] = class_of.get(int(token))  # None: not a class
+            codes = list(map(by_token.get, tokens))
+            k = codes.index(None) if None in codes else len(codes)  # a bad token
+            if k < len(codes):
+                token, line = tokens[k], before + int(numbers[k // per_row]) + 1
+                error = (UnknownLabel(f"line {line}: label {int(token)} is not "
+                                      f"one of the {label_set.num_classes} classes")
+                         if token in by_token else
+                         ParseError(line, f"label {token!r} is not an integer"))
+            n = k // per_row  # the rows before the first faulty one
+            for column, (index, keys) in enumerate(zip(indices, columns)):
+                keys.append(np.array([index.setdefault(key, len(index)) for key
+                                      in cells[column:n * width:width]],
+                                     dtype=np.int64))
+            columns[-1].append(np.array(codes[:n * per_row], dtype=np.int64))
+            if error:
+                break
+    if header and not lines_read:
+        raise EmptyMatrix(f"{path} is empty")
+    for c, column in enumerate(columns):  # one column's blocks at a time
+        columns[c] = np.concatenate(column)
+    *keys, classes = columns
     if not header:
         if error:
             raise error
-        return [], [], classes.reshape(n, width)
-    indices = [{} for _ in header[1:]]  # a key's first-appearance position
-    keys = [np.array([index.setdefault(key, len(index))
-                      for key in cells[column:n * width:width]], dtype=np.int64)
-            for column, index in enumerate(indices)]
+        return [], [], classes.reshape(-1, width or 1)
     cell = np.ravel_multi_index(keys, [len(index) for index in indices])
     order = np.argsort(cell, kind="stable")
     repeats = order[1:][np.diff(cell[order]) == 0]
     if repeats.size:
-        row = repeats.min() * width
+        row = repeats.min()
+        ids = [list(index)[key[row]] for index, key in zip(indices, keys)]
         # A truth file's repeated item is reported for the worker "<truth>".
-        raise DuplicateLabel(*["<truth>", *cells[row:row + width - 1]][-2:])
+        raise DuplicateLabel(*["<truth>", *ids][-2:])
     if error:
         raise error
     return indices, [key[order] for key in keys], classes[order]

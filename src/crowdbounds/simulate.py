@@ -38,7 +38,7 @@ def derive_rng(master_seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-_DRAW_BLOCK = 1 << 20  # most uniforms a sampler holds at once
+_DRAW_BLOCK = 1 << 16  # most uniforms a sampler holds at once
 
 
 def _uniform_blocks(rng: np.random.Generator, shape: tuple[int, int]):

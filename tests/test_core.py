@@ -206,3 +206,18 @@ class TestModelValidation:
         text = "".join(",".join(map(str, row)) + "\n" for row in external)
         assert load_grid(tmp_path, text, label_set).dense().tolist() == \
             internal.tolist()
+
+def test_log_map_rule_floors_as_clip_did():
+    """The oracle-MAP logs floor each entry with ``np.maximum``: the same
+    bits as ``np.clip(x, LOG_FLOOR, None)`` on zeros of either sign, NaN,
+    values below the floor (a subnormal among them) and ordinary ones."""
+    from crowdbounds.core import LOG_FLOOR, _log_map_rule
+    entries = np.array([0.0, -0.0, np.nan, 1e-300, 5e-324, 1.0, 0.25, 1e-12,
+                        0.5])
+    tables = entries.reshape(1, 3, 3)
+    for prior in (entries[:3], entries[3:6], [0.0, 1.0, np.nan]):
+        scores, shifts = _log_map_rule(tables, prior)
+        assert scores.tobytes() == np.log(np.clip(
+            tables, LOG_FLOOR, None)).transpose(0, 2, 1).tobytes()
+        assert shifts.tobytes() == np.log(np.clip(prior, LOG_FLOOR,
+                                                  None)).tobytes()
