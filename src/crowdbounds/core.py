@@ -516,21 +516,6 @@ def row_sum(table: np.ndarray) -> np.ndarray:
     return total
 
 
-def column_mean(table: np.ndarray) -> np.ndarray:
-    """``table.mean(axis=0)`` of a float table.
-
-    numpy adds the rows of a C-ordered table one after another, as
-    ``np.add.accumulate`` adds a column; any other layout (a single row or
-    column included) keeps numpy's own reduction, which may add pairwise.
-    """
-    if not table.flags.c_contiguous or table.flags.f_contiguous:
-        return table.mean(axis=0)
-    running = np.empty(table.shape[0])
-    sums = np.array([np.add.accumulate(table[:, k], out=running)[-1]
-                     for k in range(table.shape[1])])
-    return (sums + 0.0) / table.shape[0]  # + 0.0: numpy's start, as above
-
-
 def normalize_log_posteriors(log_scores: np.ndarray) -> np.ndarray:
     """Turn rows of unnormalised log probabilities into probability rows.
 

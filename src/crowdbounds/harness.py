@@ -47,7 +47,7 @@ from .core import (
     WorkerModel,
     error_rate,
 )
-from .em import EmConfig, em_fit, em_map_predict
+from .em import EmConfig, em_fit, em_fit_many, em_map_predict
 from .simulate import (
     SimConfig,
     cell_uniforms,
@@ -435,6 +435,13 @@ def _run_em(labels, accuracies, limits, model_kind):
     return em_map_predict(result), result.iterations
 
 
+def _run_em_many(matrices, limits, model_kind):
+    return [fit if isinstance(fit, Exception)
+            else (em_map_predict(fit), fit.iterations)
+            for fit in em_fit_many(matrices,
+                                   EmConfig(model_kind=model_kind, **limits))]
+
+
 def _vote_bound(weight_map, labels, accuracies, q):
     """Mean-error bound columns of weighted voting with the weights
     ``weight_map(accuracies, L)``."""
@@ -464,11 +471,15 @@ class Method:
     ``limits`` holds keyword arguments for the iterative methods' stopping
     rule (empty: their defaults). ``bound(labels, accuracies, q)``, where
     present, gives the (upper, lower, condition) bound columns.
+    ``run_many(matrices, limits)``, where present, runs the method on
+    several trials' labels at once and gives each trial's ``run`` result, or
+    the exception its run raised.
     """
 
     run: Callable
     needs_model: bool = False
     bound: Callable | None = None
+    run_many: Callable | None = None
 
 
 METHODS = {
@@ -482,8 +493,10 @@ METHODS = {
     "iwmv-log": Method(partial(_run_iwmv, weight_mode="log")),
     "oswmv": Method(lambda labels, accuracies, limits: (one_step_wmv(labels), 1),
                     bound=_one_step_bound),
-    "em-gds": Method(partial(_run_em, model_kind="gds")),
-    "em-hds": Method(partial(_run_em, model_kind="hds")),
+    "em-gds": Method(partial(_run_em, model_kind="gds"),
+                     run_many=partial(_run_em_many, model_kind="gds")),
+    "em-hds": Method(partial(_run_em, model_kind="hds"),
+                     run_many=partial(_run_em_many, model_kind="hds")),
     "oracle-map": Method(_run_oracle_map, needs_model=True,
                          bound=partial(_vote_bound, oracle_map_weights_hds)),
 }
@@ -593,56 +606,140 @@ def _misspec_trial_data(config: ExperimentConfig, seed: int):
     return out.labels, out.truth, None, None
 
 
-def _run_trial(config: ExperimentConfig, sweep_index: int, sweep_value,
-               trial: int, dataset) -> list[ResultRow]:
-    """Rows of one trial; ``dataset`` is the loaded (labels, truth) of the
-    dataset scenario and None otherwise."""
+def _trial_data(config: ExperimentConfig, sweep_index: int, sweep_value,
+                trial: int, dataset):
+    """One trial's labels, truth, true accuracies and label probability q;
+    ``dataset`` is the loaded (labels, truth) of the dataset scenario and
+    None otherwise."""
     # The misspecified scenario ignores the sweep: each trial has one dataset.
     sweep_key = 0 if config.scenario == "misspecified" else sweep_index
     seed = int(derive_rng(config.master_seed, "trial-seed", sweep_key, trial)
                .integers(0, 2 ** 62))
     if config.scenario == "hds-sweep":
-        labels, truth, accuracies, q = _hds_trial_data(config, sweep_value, seed)
-    elif config.scenario == "misspecified":
-        labels, truth, accuracies, q = _misspec_trial_data(config, seed)
-    else:
-        labels, truth = dataset
-        accuracies = q = None
-        labels = subsample_labels(labels, sweep_value, seed=seed)
+        return _hds_trial_data(config, sweep_value, seed)
+    if config.scenario == "misspecified":
+        return _misspec_trial_data(config, seed)
+    labels, truth = dataset
+    return subsample_labels(labels, sweep_value, seed=seed), truth, None, None
+
+
+def _method_row(config: ExperimentConfig, name: str, sweep_value, trial: int,
+                data, outcome, elapsed: float) -> ResultRow:
+    """The row of method ``name`` on one trial's ``data``, from the
+    method's ``outcome``: its (predictions, iterations), or the exception it
+    raised, which the row reports instead of raising."""
+    labels, truth, accuracies, q = data
+    method = METHODS[name]
+    try:
+        if isinstance(outcome, Exception):
+            raise outcome
+        predictions, iterations = outcome
+        rate = error_rate(predictions, truth) if truth is not None else None
+        upper = lower = condition = None
+        if method.bound is not None and accuracies is not None:
+            upper, lower, condition = method.bound(labels, accuracies, q)
+        return ResultRow(
+            config.scenario, name, float(sweep_value), trial, rate,
+            iterations, elapsed if config.record_timing else None,
+            upper, lower, condition)
+    except Exception as exc:  # keep the sweep alive; report per row
+        return ResultRow(
+            config.scenario, name, float(sweep_value), trial, None,
+            None, None, None, None, None, error=str(exc))
+
+
+def _timed(run, *args):
+    """``run(*args)``, or the exception it raised, and its wall time."""
+    started = time.perf_counter()
+    try:
+        outcome = run(*args)
+    except Exception as exc:
+        outcome = exc
+    return outcome, time.perf_counter() - started
+
+
+@contextlib.contextmanager
+def _recording(into: list):
+    """Record the warnings raised in the block and append them to ``into``
+    as (message, category, filename, lineno), for the caller to re-emit."""
+    with warnings.catch_warnings(record=True) as caught:
+        yield
+    into += [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _run_group(config: ExperimentConfig, dataset, group) -> tuple[list, list]:
+    """Rows of a group of (sweep index, trial) cells, with the warnings they
+    raised.
+
+    Each cell runs in turn, as a cell of its own would, except the methods
+    with ``run_many``: each of those runs once, on every cell's labels,
+    after the cells, and its warnings come after theirs.
+    """
     limits = {}
     if config.fixed_iterations is not None:
         limits = {"max_iters": config.fixed_iterations,
                   "stop_on_convergence": False}
-    rows = []
-    for name in config.methods:
-        method = METHODS[name]
-        started = time.perf_counter()
-        try:
-            predictions, iterations = method.run(labels, accuracies, limits)
-            elapsed = time.perf_counter() - started
-            rate = error_rate(predictions, truth) if truth is not None else None
-            upper = lower = condition = None
-            if method.bound is not None and accuracies is not None:
-                upper, lower, condition = method.bound(labels, accuracies, q)
-            rows.append(ResultRow(
-                config.scenario, name, float(sweep_value), trial, rate,
-                iterations, elapsed if config.record_timing else None,
-                upper, lower, condition))
-        except Exception as exc:  # keep the sweep alive; report per row
-            rows.append(ResultRow(
-                config.scenario, name, float(sweep_value), trial, None,
-                None, None, None, None, None, error=str(exc)))
-    return rows
+    rows, caught, batched = [], [], {}
+    for sweep_index, trial in group:
+        sweep_value = config.sweep_grid[sweep_index]
+        with _recording(caught):
+            data = _trial_data(config, sweep_index, sweep_value, trial,
+                               dataset)
+            for name in config.methods:
+                cell = len(rows), sweep_value, trial, data
+                method = METHODS[name]
+                if method.run_many is not None:
+                    batched.setdefault(name, []).append(cell)
+                    rows.append(None)
+                    continue
+                outcome, elapsed = _timed(method.run, data[0], data[2], limits)
+                rows.append(_method_row(config, name, sweep_value, trial,
+                                        data, outcome, elapsed))
+    with _recording(caught):
+        for name, cells in batched.items():
+            outcomes, elapsed = _timed(METHODS[name].run_many,
+                                       [data[0] for *_, data in cells], limits)
+            if isinstance(outcomes, Exception):
+                outcomes = [outcomes] * len(cells)
+            for (index, sweep_value, trial, data), outcome in zip(cells,
+                                                                   outcomes):
+                rows[index] = _method_row(config, name, sweep_value, trial,
+                                          data, outcome, elapsed)
+    return rows, caught
 
 
-def _run_cell(config: ExperimentConfig, dataset, cell) -> tuple[list, list]:
-    """Rows of one (sweep index, trial) cell, with the warnings it raised as
-    (message, category, filename, lineno) for the caller to re-emit."""
-    sweep_index, trial = cell
-    with warnings.catch_warnings(record=True) as caught:
-        rows = _run_trial(config, sweep_index, config.sweep_grid[sweep_index],
-                          trial, dataset)
-    return rows, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+# The expected labels of the cells one pool task runs together: enough to
+# share EM's per-iteration overhead among a few small trials, few enough
+# that the tasks still balance over the processes.
+_GROUP_LABELS = 1 << 14
+
+
+def _expected_labels(config: ExperimentConfig, sweep_value, dataset) -> float:
+    """The expected label count of a trial at ``sweep_value``."""
+    if config.scenario == "hds-sweep":
+        sim = {**config.sim, config.sweep_variable: sweep_value}
+        return sim["M"] * sim["N"] * sim["q"]
+    if config.scenario == "misspecified":
+        spec = config.misspec
+        return (spec["M1"] + spec["M2"]) * (spec["N1"] + spec["N2"]) * spec["q"]
+    return dataset[0].num_labels * sweep_value
+
+
+def _cell_groups(config: ExperimentConfig, dataset) -> list[list]:
+    """The (sweep index, trial) cells in row order, cut into groups of
+    consecutive cells: a group grows while its cells' expected labels stay
+    within :data:`_GROUP_LABELS`, and with ``record_timing`` set, so that
+    each row times its own trial, every cell is a group."""
+    groups, total = [], math.inf
+    for sweep_index, sweep_value in enumerate(config.sweep_grid):
+        size = _expected_labels(config, sweep_value, dataset)
+        for trial in range(config.trials):
+            total += size
+            if config.record_timing or total > _GROUP_LABELS:
+                groups.append([])
+                total = size
+            groups[-1].append((sweep_index, trial))
+    return groups
 
 
 def _cell_workers(num_cells: int) -> int:
@@ -731,13 +828,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                               f"labels; no error rate covers them",
                               stacklevel=2)
         dataset = labels, truth
-    cells = [(sweep_index, trial)
-             for sweep_index in range(len(config.sweep_grid))
-             for trial in range(config.trials)]
+    groups = _cell_groups(config, dataset)
     rows = []
     registry: dict = {}  # shows a "default"-filtered warning once per run
-    with _cell_map(partial(_run_cell, config, dataset), len(cells)) as cell_map:
-        for cell_rows, caught in cell_map(cells):
+    with _cell_map(partial(_run_group, config, dataset),
+                   len(groups)) as cell_map:
+        for cell_rows, caught in cell_map(groups):
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno,
                                        registry=registry)

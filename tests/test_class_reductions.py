@@ -1,11 +1,13 @@
 """Differential tests of the class-axis reductions and the flat-take gather.
 
 EM's E-step and M-step and ``posterior`` reduce (N, L) item tables through
-``core.row_max``, ``core.row_sum`` and ``core.column_mean``, and the label
-kernel gathers with one flat ``take`` at keys cached per matrix. The
+``core.row_max``, ``core.row_sum`` and EM's per-trial ``bincount`` of class
+means, EM's confusion tables divide by totals added label by label, and the
+label kernel gathers with one flat ``take`` at keys cached per matrix. The
 references below are the bodies these replaced: numpy's ``max(axis=1)``,
-``sum(axis=1)`` and ``mean(axis=0)``, the row gather ``take(rows,
-axis=0)`` and a fresh per-worker ``bincount``. Every fit runs once as it is
+``sum(axis=1)`` and ``mean(axis=0)`` over each trial's rows, a masked
+division by ``sum(axis=2)``, the row gather ``take(rows, axis=0)`` and a
+fresh per-worker ``bincount``. Every fit runs once as it is
 and once with the references patched in, and the two must agree byte for
 byte, since neither path reorders a sum. L runs from 2 to 12, across the
 width of 8 at which numpy stops adding a row in order.
@@ -23,7 +25,6 @@ from crowdbounds.core import (
     Prior,
     WorkerModel,
     argmax_labels,
-    column_mean,
     normalize_log_posteriors,
     posterior,
     row_max,
@@ -42,8 +43,18 @@ def reference_row_sum(table):
     return table.sum(axis=1)
 
 
-def reference_column_mean(table):
-    return table.mean(axis=0)
+def reference_class_means(self, rho):
+    return np.array([rho[items].mean(axis=0) for items in self.item_slices])
+
+
+def reference_confusion_tables(sums):
+    M, L = sums.shape[:2]
+    counts = sums.transpose(0, 2, 1)
+    denom = counts.sum(axis=2)
+    tables = np.full((M, L, L), 1.0 / L)
+    seen = denom > 0
+    tables[seen] = counts[seen] / denom[seen][:, None]
+    return tables
 
 
 def row_gather_sum(table, rows, keys, size):
@@ -99,7 +110,8 @@ def reference_bodies():
         for module in (core, em):
             patch.setattr(module, "row_max", reference_row_max)
             patch.setattr(module, "row_sum", reference_row_sum)
-        patch.setattr(em, "column_mean", reference_column_mean)
+        patch.setattr(em._Stack, "class_means", reference_class_means)
+        patch.setattr(em, "_confusion_tables", reference_confusion_tables)
         patch.setattr(LabelMatrix, "item_scores", reference_item_scores)
         patch.setattr(LabelMatrix, "worker_sums", reference_worker_sums)
         patch.setattr(LabelMatrix, "agreement", reference_agreement)
@@ -169,7 +181,6 @@ def test_helpers_give_numpy_s_bits(L, layout):
         table = random_table(rng, (rows, L), layout)
         table[: rows // 3] = rng.choice([0.0, -0.0], (rows // 3, L))
         assert_same_bits(row_sum(table), table.sum(axis=1))
-        assert_same_bits(column_mean(table), table.mean(axis=0))
         if rows:
             assert_same_bits(row_max(table), table.max(axis=1))
 

@@ -505,12 +505,16 @@ class TestRunExperiment:
         assert len(records) == 1 + len(rows)
 
 
-def run_on(workers, config, monkeypatch):
+def run_on(workers, config, monkeypatch, group_labels=None):
     """run_experiment with the worker count forced: 1 takes the serial path,
-    more forks that many workers whatever the machine's CPU count."""
+    more forks that many workers whatever the machine's CPU count. A
+    ``group_labels`` replaces the expected labels a group of cells may
+    hold (0: one cell per group)."""
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_cell_workers",
                       lambda num_cells: min(workers, num_cells))
+        if group_labels is not None:
+            patch.setattr(harness, "_GROUP_LABELS", group_labels)
         return run_experiment(config)
 
 
@@ -520,8 +524,9 @@ def after_stamp(stem):
 
 
 class TestCellPool:
-    """The trials run on forked workers; the files, the error that escapes
-    and the warnings match a serial run's."""
+    """The groups of trials run on forked workers; the files, the error
+    that escapes and the warnings match a serial run's, and the files match
+    those of one trial per group."""
 
     def test_pooled_files_equal_serial_files(self, tmp_path, monkeypatch):
         labels_path, truth_path = tmp_path / "labels.csv", tmp_path / "truth.csv"
@@ -541,15 +546,19 @@ class TestCellPool:
                 master_seed=2, dataset={"path": str(labels_path),
                                         "truth": str(truth_path), "L": 2}),
         ]
+        # Serial in groups, pooled in groups of about two trials, and serial
+        # with one trial per group.
+        runs = ((1, None), (3, 500), (1, 0))
         for config in scenarios:
             for fixed in (None, 3):
-                stems = [str(tmp_path / f"{config.scenario}-{fixed}-{workers}")
-                         for workers in (1, 3)]
-                for workers, stem in zip((1, 3), stems):
+                stems = [str(tmp_path / f"{config.scenario}-{fixed}-{run}")
+                         for run in range(len(runs))]
+                for (workers, group_labels), stem in zip(runs, stems):
                     run_on(workers, dataclasses.replace(
                         config, output=stem, fixed_iterations=fixed),
-                        monkeypatch)
-                assert after_stamp(stems[0]) == after_stamp(stems[1]), stems
+                        monkeypatch, group_labels)
+                for stem in stems[1:]:
+                    assert after_stamp(stems[0]) == after_stamp(stem), stem
         assert multiprocessing.active_children() == []
 
     def test_the_earliest_failing_trial_raises(self, tmp_path, monkeypatch):
@@ -571,8 +580,9 @@ class TestCellPool:
         assert multiprocessing.active_children() == []
 
         # The error is the earliest trial's in row order, though a later
-        # trial failed first in time.
-        run_trial = harness._run_trial
+        # trial failed first in time. Timed rows put each trial in a pool
+        # task of its own.
+        trial_data = harness._trial_data
 
         def failing(config, sweep_index, sweep_value, trial, dataset):
             if sweep_index == 1:
@@ -580,12 +590,12 @@ class TestCellPool:
                 raise DomainError("the earlier trial")
             if sweep_index == 2:
                 raise ValueError("the later trial")
-            return run_trial(config, sweep_index, sweep_value, trial, dataset)
+            return trial_data(config, sweep_index, sweep_value, trial, dataset)
 
-        monkeypatch.setattr(harness, "_run_trial", failing)
+        monkeypatch.setattr(harness, "_trial_data", failing)
         with pytest.raises(DomainError, match="the earlier trial"):
-            run_on(3, small_sweep_config(sweep_grid=(0.6, 0.7, 0.8), trials=1),
-                   monkeypatch)
+            run_on(3, small_sweep_config(sweep_grid=(0.6, 0.7, 0.8), trials=1,
+                                         record_timing=True), monkeypatch)
         assert multiprocessing.active_children() == []
 
     def test_worker_warnings_reach_the_caller_in_trial_order(self, monkeypatch):
@@ -597,7 +607,7 @@ class TestCellPool:
 
         monkeypatch.setitem(METHODS, "mv", Method(warn_then_vote))
         config = small_sweep_config(methods=("mv",), sweep_variable="N",
-                                    sweep_grid=(30, 40, 50))
+                                    sweep_grid=(30, 40, 50), record_timing=True)
         with pytest.warns(UserWarning) as record:
             rows = run_on(3, config, monkeypatch)
         assert all(row.error is None for row in rows)
@@ -605,6 +615,31 @@ class TestCellPool:
                 if w.category is UserWarning] == [
             "30 items", "30 items", "40 items", "40 items", "50 items",
             "50 items"]
+
+    def test_groups_hold_consecutive_cells_by_expected_labels(self):
+        # 5 * 200 * 0.8 = 800 expected labels at N = 200, 3200 at N = 800;
+        # a group holds at most 2 ** 14 = 16384, and may span sweep values.
+        config = small_sweep_config(sweep_variable="N", sweep_grid=(200, 800),
+                                    trials=10, sim={"M": 5, "q": 0.8})
+        groups = harness._cell_groups(config, None)
+        assert [cell for group in groups for cell in group] == [
+            (index, trial) for index in range(2) for trial in range(10)]
+        assert list(map(len, groups)) == [12, 5, 3]
+        timed = dataclasses.replace(config, record_timing=True)
+        assert list(map(len, harness._cell_groups(timed, None))) == [1] * 20
+        # A trial over the limit is a group of its own: 40 * 600 * 1.0.
+        spec = {"M1": 20, "M2": 20, "N1": 300, "N2": 300, "q": 1.0}
+        large = ExperimentConfig(
+            scenario="misspecified", methods=("mv",), trials=3,
+            sweep_variable="none", sweep_grid=(0.0,), master_seed=0,
+            misspec=spec)
+        assert list(map(len, harness._cell_groups(large, None))) == [1, 1, 1]
+        labels = LabelMatrix.from_dense(np.ones((100, 100), dtype=int), 2)
+        dataset = small_sweep_config(
+            scenario="dataset", sweep_variable="s", sweep_grid=(0.4, 1.0),
+            trials=3, dataset={"path": "labels.csv"})
+        assert list(map(len, harness._cell_groups(
+            dataset, (labels, None)))) == [3, 1, 1, 1]
 
     def test_one_worker_per_available_cpu(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
