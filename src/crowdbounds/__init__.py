@@ -39,7 +39,7 @@ from .aggregate import (
     oracle_map_weights_hds,
     weighted_majority_vote,
 )
-from .em import EmConfig, EmResult, em_fit, em_map_predict
+from .em import EmConfig, EmResult, em_fit, em_fit_many, em_map_predict
 from .bounds import (
     BoundReport,
     ScoreQuantities,

@@ -58,7 +58,9 @@ class ScoreQuantities:
 
     ``gaps[j, k, l]`` is the expected aggregated-score gap between classes
     ``k`` and ``l`` when the true class is ``k`` (leading axis has length 1
-    when the assignment does not vary across items). ``tau_min``/``tau_max``
+    when the assignment does not vary across items); the diagonal is never
+    read, so a rule whose class pairs all share one gap stores it as a
+    read-only broadcast of that gap. ``tau_min``/``tau_max``
     are the per-item extremes of the normalised gap; ``t_low``/``t_high``
     (their extremes across items) and ``num_classes`` are derived.
     """
@@ -184,8 +186,7 @@ def quantities_wmv_hds(q: float, weights, accuracies,
     L = num_classes
     gap = q * float(weights @ (L * accuracies - 1.0)) / (L - 1)
     t = gap / norm
-    gaps = np.full((1, L, L), gap)
-    gaps[:, np.arange(L), np.arange(L)] = 0.0
+    gaps = np.broadcast_to(gap, (1, L, L))  # no L x L memory at any L
     tau = np.array([t])
     return ScoreQuantities(norm, gaps, tau, tau.copy(),
                            float(np.abs(weights).max() / norm), float(q))

@@ -3,7 +3,9 @@ MAP prediction rule built on the fitted posteriors.
 
 Supports the full confusion-table model ("gds") and the single-accuracy
 model ("hds"). No priors are placed on the parameters; this is plain
-maximum likelihood with majority-vote initialization.
+maximum likelihood with majority-vote initialization. One loop,
+:func:`em_fit_many`, fits any number of label matrices at once, each to the
+bits of a fit on its own; :func:`em_fit` is that loop on one matrix.
 """
 
 from __future__ import annotations

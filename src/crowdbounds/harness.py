@@ -4,10 +4,15 @@ Experiments are described by a JSON-serialisable config, run trial by trial
 with per-trial derived generators (so a row does not depend on which other
 cells ran before it, or in which process), and emitted as a CSV plus an
 equivalent JSON-lines file whose only nondeterministic content is a
-timestamp header line. The (sweep value, trial) cells run on one forked
-process per CPU that the calling process may use, and the rows are the same
-bytes as a serial run's; restrict the CPU affinity (``taskset -c 0``) to run
-them serially. Every aggregation method is named once, in :data:`METHODS`.
+timestamp header line. The (sweep value, trial) cells are dispatched in
+groups of consecutive cells whose expected label count stays within
+:data:`_GROUP_LABELS` (one cell per group when ``record_timing`` is set),
+each group a task of a pool with one forked process per CPU that the calling
+process may use. Within a group the cells run in order, except that EM fits
+all of the group's trials in one batch. The rows are the same bytes as a
+serial, one-cell-at-a-time run's; restrict the CPU affinity (``taskset -c
+0``) to run them serially, with identical rows. Every aggregation method is
+named once, in :data:`METHODS`.
 """
 
 from __future__ import annotations
@@ -685,14 +690,16 @@ def _run_group(config: ExperimentConfig, dataset, group) -> tuple[list, list]:
         with _recording(caught):
             data = _trial_data(config, sweep_index, sweep_value, trial,
                                dataset)
+            labels, _, accuracies, _ = data
             for name in config.methods:
-                cell = len(rows), sweep_value, trial, data
                 method = METHODS[name]
                 if method.run_many is not None:
-                    batched.setdefault(name, []).append(cell)
-                    rows.append(None)
+                    batched.setdefault(name, []).append(
+                        (len(rows), sweep_value, trial, data))
+                    rows.append(None)  # filled in below
                     continue
-                outcome, elapsed = _timed(method.run, data[0], data[2], limits)
+                outcome, elapsed = _timed(method.run, labels, accuracies,
+                                          limits)
                 rows.append(_method_row(config, name, sweep_value, trial,
                                         data, outcome, elapsed))
     with _recording(caught):
@@ -742,13 +749,14 @@ def _cell_groups(config: ExperimentConfig, dataset) -> list[list]:
     return groups
 
 
-def _cell_workers(num_cells: int) -> int:
-    """How many processes run an experiment's cells: one per CPU this
-    process may run on, capped at the number of cells; one where processes
-    cannot be forked, or where this one is a daemon, which may start none."""
+def _cell_workers(num_tasks: int) -> int:
+    """How many processes run an experiment's groups of cells: one per CPU
+    this process may run on, capped at the number of groups; one where
+    processes cannot be forked, or where this one is a daemon, which may
+    start none."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(cpus, num_cells)
+    workers = min(cpus, num_tasks)
     if workers > 1:
         import multiprocessing
         if ("fork" not in multiprocessing.get_all_start_methods()
@@ -772,18 +780,20 @@ def _run_forked_cell(cell):
 
 
 @contextlib.contextmanager
-def _cell_map(run_cell, num_cells: int):
-    """Yield a map of ``run_cell`` over cells that yields results in cell
-    order: the builtin ``map``, or a process pool's when
+def _cell_map(run_cell, num_tasks: int):
+    """Yield a map of ``run_cell`` over tasks (groups of cells) that yields
+    results in task order: the builtin ``map``, or a process pool's when
     :func:`_cell_workers` gives more than one worker.
 
     The pool forks its workers, so they inherit ``run_cell`` (the config and
     any loaded dataset) instead of importing the package again and receiving
-    it pickled with every cell, as spawned workers would; the pool's map
-    re-raises the exception of the earliest failing cell in order.
-    Every worker has been joined when the block exits, by return or raise.
+    it pickled with every task, as spawned workers would. The pool's map
+    hands each task to the next idle worker, so tasks of uneven cost still
+    balance, and re-raises the exception of the earliest failing task in
+    order. Every worker has been joined when the block exits, by return or
+    raise.
     """
-    workers = _cell_workers(num_cells)
+    workers = _cell_workers(num_tasks)
     if workers == 1:
         yield partial(map, run_cell)
         return
@@ -808,11 +818,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     Rows come in grid order, then trial, then the config's method order.
     Each trial derives its own generator from (master seed, sweep, trial),
     so a row's content does not depend on the cells run before it nor on
-    the process that ran it: the trials run on one forked process per
-    available CPU, and the rows equal a serial run's. Warnings raised in a
-    trial are re-emitted here in trial order (those of a trial that raises
-    are dropped with it); an exception that escapes a trial is that of the
-    earliest failing trial in row order.
+    the process that ran it: groups of trials (:func:`_cell_groups`) run on
+    one forked process per available CPU, and the rows equal a serial run's.
+    Warnings raised in a group are re-emitted here in trial order, those of
+    its batched EM fits last (those of a group that raises are dropped with
+    it); an exception that escapes a trial is that of the earliest failing
+    trial in row order.
     """
     dataset = None
     if config.scenario == "dataset":

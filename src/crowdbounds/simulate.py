@@ -7,6 +7,7 @@ independent draws never share a stream.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -81,6 +82,29 @@ def check_beta_shapes(a: float, b: float) -> None:
         raise DomainError("beta shape parameters must be positive and finite")
 
 
+# A target is rejected before any draw when a bound shows that all of the
+# sampler's batches together reach it with a chance below this.
+_HOPELESS = 0.01
+
+
+def _log_tail_bound(num_workers: int, a: float, b: float, x: float) -> float:
+    """A Chernoff bound on the log of P(mean of ``num_workers`` Beta(a, b)
+    draws >= x): the least, over tilts ``s`` in [0.01, 300], of
+    ``num_workers * (log E exp(sX) - s x)``. The moment generating function
+    is the series of 1F1(a; a + b; s), whose first 1000 terms are summed;
+    past them each term is at most s / 1000 <= 0.3 of the one before, so
+    half the last term bounds the rest. Every tilt gives a valid bound."""
+    k = np.arange(999)
+    log_terms = np.concatenate(([0.0], np.cumsum(
+        -np.log1p(b / (a + k)) - np.log1p(k))))
+    tilts = np.geomspace(0.01, 300.0, 200)[:, None]
+    log_terms = log_terms + np.arange(1000) * np.log(tilts)
+    log_terms[:, -1] += np.log(1.5)
+    peak = log_terms.max(axis=1, keepdims=True)
+    log_mgf = peak + np.log(np.exp(log_terms - peak).sum(axis=1, keepdims=True))
+    return float(num_workers * np.min(log_mgf - tilts * x))
+
+
 def sample_workers_beta(num_workers: int, a: float, b: float, target_mean: float,
                         tol: float = 0.01, seed: int = 0,
                         max_batches: int = 100_000) -> np.ndarray:
@@ -88,7 +112,9 @@ def sample_workers_beta(num_workers: int, a: float, b: float, target_mean: float
 
     Whole batches of ``num_workers`` draws are rejected until the batch mean
     lands within ``tol`` of ``target_mean``; resampling individual workers
-    would distort the marginal distribution.
+    would distort the marginal distribution. A window that a Chernoff bound
+    shows ``max_batches`` batches reach with a chance below 1 % is rejected
+    before any draw; any other target draws the same batches as ever.
     """
     check_beta_shapes(a, b)
     if not 0 < target_mean < 1:
@@ -97,6 +123,19 @@ def sample_workers_beta(num_workers: int, a: float, b: float, target_mean: float
         raise DomainError("tolerance must be positive")
     if num_workers < 1:
         raise DomainError("at least one worker is required")
+    mean = 1.0 / (1.0 + b / a)
+    if abs(target_mean - mean) > tol:
+        # The near edge of the window, as an upper tail: 1 - X is Beta(b, a).
+        if target_mean > mean:
+            log_bound = _log_tail_bound(num_workers, a, b, target_mean - tol)
+        else:
+            log_bound = _log_tail_bound(num_workers, b, a,
+                                        1.0 - target_mean - tol)
+        if math.log(max_batches) + log_bound < math.log(_HOPELESS):
+            raise RejectionBudgetExceeded(
+                f"a batch of {num_workers} Beta({a}, {b}) draws, of mean "
+                f"{mean:.6g}, hits {target_mean} +/- {tol} within "
+                f"{max_batches} batches with a chance below {_HOPELESS:.0%}")
     rng = derive_rng(seed, "worker-accuracies")
     for _ in range(max_batches):
         draws = rng.beta(a, b, size=num_workers)

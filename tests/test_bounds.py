@@ -1,10 +1,16 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crowdbounds import bounds as bounds_module
 from crowdbounds.core import (
     AssignmentModel,
     DecomposableRule,
@@ -570,3 +576,27 @@ class TestWeightOptimality:
             w = rng.uniform(center - 0.1, center + 0.1, 200)
             rem = np.abs(np.log((L - 1) * w / (1 - w)) - L / (L - 1) * (L * w - 1))
             assert (rem <= 1.05 * K * (w - center) ** 2 + 1e-12).all()
+
+
+
+def test_wmv_hds_bounds_of_many_classes_stay_small():
+    """``bounds --scenario wmv-hds`` at L = 100,000 runs under a 1 GiB
+    address-space limit that a dense L x L gap table (80 GB) would exceed;
+    no L ends in an unexpected error (exit 2)."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from crowdbounds.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(bounds_module.__file__).resolve().parents[1])
+    params = {"q": 0.5, "weights": [1.0, 2.0], "accuracies": [0.7, 0.9]}
+    runs = {L: subprocess.run(
+        [sys.executable, "-c", child, "bounds", "--scenario", "wmv-hds",
+         "--params", json.dumps({**params, "L": L})],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}) for L in (100_000, 10 ** 11)}
+    assert all(done.returncode != 2 for done in runs.values()), runs
+    done = runs[100_000]
+    assert done.returncode == 0, done.stderr
+    expected = mean_error_bounds(quantities_wmv_hds(
+        0.5, [1.0, 2.0], [0.7, 0.9], 100_000))
+    assert json.loads(done.stdout)["values"] == expected.values

@@ -171,8 +171,7 @@ def random_table(rng, shape, layout):
     return table
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice",
-                            "ignore:invalid value")
+@pytest.mark.filterwarnings("ignore:invalid value")
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 @pytest.mark.parametrize("L", range(1, 13))
 def test_helpers_give_numpy_s_bits(L, layout):

@@ -60,6 +60,43 @@ class TestSampleWorkersBeta:
         with pytest.raises(DomainError):
             sample_workers_beta(5, 1.0, 2.0, 0.5, tol=0.0)
 
+    def test_a_hopeless_target_exits_1_before_any_draw(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # Beta(2.3, 2.0) has mean 0.535; a batch mean of 500 workers has
+        # an sd of about 0.01, so 0.6 +/- 0.01 lies 5.7 sds out.
+        def no_draws(*args):
+            raise AssertionError("the sampler drew batches")
+
+        monkeypatch.setattr(simulate, "derive_rng", no_draws)
+        out = tmp_path / "labels.csv"
+        code = main(["simulate", "--workers", "500", "--items", "10",
+                     "--classes", "3", "--target-mean", "0.6",
+                     "--out-labels", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and "100000 batches" in err, err
+        assert not out.exists()
+        for target in (0.39, 0.54):  # either side of the mean 0.465
+            with pytest.raises(RejectionBudgetExceeded, match="chance below"):
+                sample_workers_beta(500, 2.0, 2.3, target)
+
+    @pytest.mark.parametrize("M, a, b, x", [
+        (5, 1.0, 1.0, 0.8), (1, 0.3, 2.0, 0.6), (3, 0.5, 0.5, 0.85),
+        (2, 0.05, 3.0, 0.3), (50, 2.3, 2.0, 0.6)])
+    def test_the_tail_bound_holds_against_draws(self, M, a, b, x):
+        means = np.random.default_rng(M).beta(a, b, (200_000, M)).mean(axis=1)
+        assert np.mean(means >= x) <= np.exp(
+            simulate._log_tail_bound(M, a, b, x))
+
+    def test_a_reachable_target_draws_as_before(self):
+        # A single heavy-tailed worker lands far from the mean now and then.
+        draws = sample_workers_beta(1, 0.05, 3.0, 0.5, tol=0.05, seed=1)
+        rng = derive_rng(1, "worker-accuracies")
+        while True:
+            batch = rng.beta(0.05, 3.0, size=1)
+            if abs(batch.mean() - 0.5) <= 0.05:
+                break
+        assert np.array_equal(draws, batch)
+
 
 class TestSimulateDataset:
     def test_certain_assignment_gives_full_mask(self):
