@@ -164,16 +164,14 @@ class LabelMatrix:
     def _item_keys(self) -> np.ndarray:
         """Entries ``item * L + k`` of a flattened (N, L) item table, L per
         label."""
-        L = self.num_classes
-        return (self.items[:, None] * L + np.arange(L)).ravel()
+        return row_entries(self.items, self.num_classes)
 
     @cached_property
     def _worker_keys(self) -> np.ndarray:
         """Entries ``(worker * L + label - 1) * L + k`` of a flattened
         (M, L, L) per-label table, L per label."""
         L = self.num_classes
-        rows = self.workers * L + self.labels - 1
-        return (rows[:, None] * L + np.arange(L)).ravel()
+        return row_entries(self.workers * L + self.labels - 1, L)
 
     @cached_property
     def _item_cells(self) -> np.ndarray:
@@ -227,6 +225,18 @@ class LabelMatrix:
         """
         return _gather_sum(np.asarray(item_rows, dtype=float),
                            self._item_cells, self.workers, self.num_workers)
+
+
+def row_entries(rows: np.ndarray, width: int) -> np.ndarray:
+    """``(rows[:, None] * width + np.arange(width)).ravel()``: the flat
+    entries of the given rows of a table ``width`` wide, in row order. It
+    fills one column at a time, as numpy would broadcast the short last axis
+    row by row, at several times the cost."""
+    out = np.empty((rows.size, width), dtype=np.int64)
+    first = rows * width
+    for k in range(width):
+        np.add(first, k, out=out[:, k])
+    return out.ravel()
 
 
 def _gather_sum(table: np.ndarray, entries: np.ndarray, keys: np.ndarray,

@@ -23,6 +23,7 @@ from .core import (
     WorkerModel,
     _log_map_rule,
     argmax_labels,
+    row_entries,
     row_max,
     row_sum,
     symmetric_tables,
@@ -65,21 +66,18 @@ class EmResult:
     converged: bool
 
 
-def _initial_posteriors(labels: LabelMatrix, config: EmConfig) -> np.ndarray:
+def _check_init(labels: LabelMatrix, config: EmConfig) -> None:
+    """Raise unless ``config.init`` can start a fit of ``labels``."""
     if isinstance(config.init, str):
         if config.init != "majority-vote":
             raise DomainError(f"unknown initialization {config.init!r}")
-        hard = majority_vote(labels)
-        rho = np.zeros((labels.num_items, labels.num_classes))
-        rho[np.arange(labels.num_items), hard - 1] = 1.0
-        return rho
+        return
     rho = np.asarray(config.init, dtype=float)
     if rho.shape != (labels.num_items, labels.num_classes):
         raise DimensionMismatch("initial posteriors must be (items, classes)")
     if (not np.isfinite(rho).all() or rho.min() < 0
             or np.abs(rho.sum(axis=1) - 1.0).max() > 1e-9):
         raise DomainError("initial posteriors must be probability rows")
-    return rho.copy()
 
 
 def _confusion_tables(sums: np.ndarray) -> np.ndarray:
@@ -122,7 +120,20 @@ class _Stack:
         self.sizes = np.diff(items)
         self.item_trial = np.repeat(np.arange(len(matrices)), self.sizes)
         # Entry (trial, class) of a flattened (trials, L) table per item row.
-        self.prior_keys = (self.item_trial[:, None] * L + np.arange(L)).ravel()
+        self.prior_keys = row_entries(self.item_trial, L)
+
+    def initial_posteriors(self, config: EmConfig) -> np.ndarray:
+        """Every stacked item's starting row: its majority vote as a
+        one-hot row (one vote over the stack, which counts each item's
+        labels as its trial's own matrix does), or ``config.init``, checked
+        by :func:`_check_init`, once per trial."""
+        if not isinstance(config.init, str):
+            return np.tile(np.asarray(config.init, dtype=float),
+                           (self.sizes.size, 1))
+        labels = self.labels
+        rho = np.zeros((labels.num_items, labels.num_classes))
+        rho[np.arange(labels.num_items), majority_vote(labels) - 1] = 1.0
+        return rho
 
     def per_item(self, table: np.ndarray) -> np.ndarray:
         """Each item's row of a (trials, L) table; one trial's row
@@ -191,20 +202,23 @@ def em_fit_many(matrices, config: EmConfig = EmConfig()) -> list:
     if len({labels.num_classes for labels in matrices}) > 1:
         raise DimensionMismatch("the matrices of one fit differ in classes")
     outcomes: list = [None] * len(matrices)
-    live, rows = [], []
+    live = []
     for t, labels in enumerate(matrices):
         try:
-            rows.append(_initial_posteriors(labels, config))
+            _check_init(labels, config)
         except ValueError as exc:
             outcomes[t] = exc
         else:
             live.append(t)
     traces = {t: [] for t in live}
-    iterations = 0
+    iterations, rows = 0, None
     while live:
         members = live
         stack = _Stack([matrices[t] for t in members])
-        rho = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        if rows is None:
+            rho = stack.initial_posteriors(config)
+        else:
+            rho = rows[0] if len(rows) == 1 else np.concatenate(rows)
         while len(live) >= 0.75 * len(members):
             iterations += 1
             prior, params, rho, log_likelihoods = stack.step(

@@ -10,7 +10,9 @@ division by ``sum(axis=2)``, the row gather ``take(rows, axis=0)`` and a
 fresh per-worker ``bincount``. Every fit runs once as it is
 and once with the references patched in, and the two must agree byte for
 byte, since neither path reorders a sum. L runs from 2 to 12, across the
-width of 8 at which numpy stops adding a row in order.
+width of 8 at which numpy stops adding a row in order. The gather keys
+are filled column by column by ``core.row_entries``, against numpy's
+broadcast.
 """
 
 from contextlib import contextmanager
@@ -27,6 +29,7 @@ from crowdbounds.core import (
     argmax_labels,
     normalize_log_posteriors,
     posterior,
+    row_entries,
     row_max,
     row_sum,
 )
@@ -182,6 +185,15 @@ def test_helpers_give_numpy_s_bits(L, layout):
         assert_same_bits(row_sum(table), table.sum(axis=1))
         if rows:
             assert_same_bits(row_max(table), table.max(axis=1))
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_entries_match_the_broadcast(width):
+    rng = np.random.default_rng(width)
+    for size in (0, 1, 7, 3001):
+        rows = rng.integers(0, 10 ** 6, size)
+        want = (rows[:, None] * width + np.arange(width)).ravel()
+        assert_same_bits(row_entries(rows, width), want)
 
 
 @pytest.mark.parametrize("kind", ["gds", "hds"])
