@@ -237,8 +237,6 @@ def em_fit_many(matrices, config: EmConfig = EmConfig()) -> list:
                     outcomes[t] = (params[stack.worker_slices[i]], prior[i],
                                    rho[stack.item_slices[i]], converged)
             live = [t for t in members if outcomes[t] is None]
-            if not live:
-                break
         rows = [rho[items] for items, t in zip(stack.item_slices, members)
                 if outcomes[t] is None]
     for t, trace in traces.items():
