@@ -2,7 +2,9 @@
 hyperplane, oracle-MAP, iterative and one-step variants.
 
 Every rule funnels through one score-accumulation kernel and one argmax,
-which resolves ties to the lowest class, so the documented reductions
+which resolves ties to the lowest class. Votes gather one weight per label,
+rules the L entries of the label's row; the indicator rule's other entries
+are +0.0, which no bincount sum can feel, so the documented reductions
 (indicator scores == majority voting, weighted indicators == weighted
 voting, ...) hold bit-for-bit and not just up to rounding.
 """
@@ -36,24 +38,18 @@ class WeightLengthMismatch(ValueError):
     """The weight vector does not have one entry per worker."""
 
 
-def _aggregate_scores(labels: LabelMatrix, rule: DecomposableRule) -> np.ndarray:
-    """Per-item, per-class aggregated scores for a decomposable rule."""
+def decomposable_predict(labels: LabelMatrix, rule: DecomposableRule) -> np.ndarray:
+    """Predict each item as the class with the highest aggregated score."""
     if rule.num_workers != labels.num_workers:
         raise DimensionMismatch("rule and label matrix worker counts differ")
     if rule.num_classes != labels.num_classes:
         raise DimensionMismatch("rule and label matrix class counts differ")
-    return labels.item_scores(rule.scores, rule.shifts)
-
-
-def decomposable_predict(labels: LabelMatrix, rule: DecomposableRule) -> np.ndarray:
-    """Predict each item as the class with the highest aggregated score."""
-    return argmax_labels(_aggregate_scores(labels, rule))
+    return argmax_labels(labels.item_scores(rule.scores, rule.shifts))
 
 
 def majority_vote(labels: LabelMatrix) -> np.ndarray:
     """Most frequent label per item; missing entries contribute nothing."""
-    rule = DecomposableRule.indicator(labels.num_workers, labels.num_classes)
-    return decomposable_predict(labels, rule)
+    return argmax_labels(labels.vote_scores(np.ones(labels.num_workers)))
 
 
 def weighted_majority_vote(labels: LabelMatrix, weights, shifts=None) -> np.ndarray:
@@ -66,8 +62,14 @@ def weighted_majority_vote(labels: LabelMatrix, weights, shifts=None) -> np.ndar
     if not weights.any():
         warnings.warn("all worker weights are zero; every item is a tie",
                       stacklevel=2)
-    rule = DecomposableRule.weighted_indicator(weights, labels.num_classes, shifts)
-    return decomposable_predict(labels, rule)
+    if shifts is None:
+        return argmax_labels(labels.vote_scores(weights))
+    shifts = np.asarray(shifts, dtype=float)  # DecomposableRule's checks
+    if shifts.shape != (labels.num_classes,):
+        raise DimensionMismatch("shift vector must have one entry per class")
+    if not np.isfinite(shifts).all():
+        raise DomainError("scores and shifts must be finite")
+    return argmax_labels(labels.vote_scores(weights, shifts))
 
 
 def hyperplane_predict(labels: LabelMatrix, weights,

@@ -149,9 +149,6 @@ class LabelMatrix:
     def labels_per_worker(self) -> np.ndarray:
         return self._worker_counts.copy()
 
-    def labels_per_item(self) -> np.ndarray:
-        return np.bincount(self.items, minlength=self.num_items)
-
     # The accumulations below all run through _gather_sum, on keys and
     # counts built once per matrix: each fit on it reuses them every
     # iteration.
@@ -191,6 +188,20 @@ class LabelMatrix:
             raise DimensionMismatch("per-label scores must have shape (M, L, L)")
         scores = _gather_sum(label_scores, self._worker_keys, self._item_keys,
                              N * L).reshape(N, L)
+        scores += shifts
+        return scores
+
+    def vote_scores(self, weights, shifts=0.0) -> np.ndarray:
+        """Per-item class scores of a weighted vote, shape (N, L): ``shifts[k]``
+        plus the weights of the workers who gave item ``j`` the label ``k + 1``.
+
+        The bits of :meth:`item_scores` of the weighted indicator rule, from
+        one entry per label instead of L: the rule's other entries are +0.0,
+        and a bincount sum starts at +0.0 and never holds -0.0, so adding
+        +0.0 to it changes nothing."""
+        N, L = self.num_items, self.num_classes
+        scores = _gather_sum(np.asarray(weights, dtype=float), self.workers,
+                             self._item_cells, N * L).reshape(N, L)
         scores += shifts
         return scores
 
@@ -421,13 +432,6 @@ class WorkerModel:
         diag = self.params if self.kind == "sds" else self.params[:, None]
         return symmetric_tables(diag, self.num_classes)
 
-    def binary_rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Accuracy on positive and on negative items (two classes only)."""
-        if self.num_classes != 2:
-            raise NotBinary("binary rates require exactly two classes")
-        tables = self.as_gds()
-        return tables[:, 0, 0], tables[:, 1, 1]
-
 
 @dataclass(frozen=True)
 class DecomposableRule:
@@ -537,22 +541,12 @@ def normalize_log_posteriors(log_scores: np.ndarray) -> np.ndarray:
     return probs / row_sum(probs)[:, None]
 
 
-def map_scores(labels: LabelMatrix, tables, prior_probs) -> np.ndarray:
-    """Unnormalised log posteriors of every item, shape (N, L).
-
-    These are the oracle-MAP scores: the log prior plus the log
-    confusion-table entry ``tables[i, k, h - 1]`` of every observed label,
-    with entries floored at ``LOG_FLOOR``.
-    """
-    return labels.item_scores(*_log_map_rule(tables, prior_probs))
-
-
 def posterior(model: WorkerModel, prior: Prior, labels: LabelMatrix) -> np.ndarray:
     """True-label posterior of every item given the worker model and prior.
 
     Row ``j`` is proportional to the prior times the product of the
     confusion-table entries of every observed label of item ``j``;
-    the computation runs in the log domain.
+    the computation runs in the log domain, on the oracle-MAP scores.
     """
     if model.num_workers != labels.num_workers:
         raise DimensionMismatch("worker model and label matrix worker counts differ")
@@ -561,7 +555,7 @@ def posterior(model: WorkerModel, prior: Prior, labels: LabelMatrix) -> np.ndarr
     if prior.num_classes != labels.num_classes:
         raise DimensionMismatch("prior and label matrix class counts differ")
     return normalize_log_posteriors(
-        map_scores(labels, model.as_gds(), prior.probs))
+        labels.item_scores(*_log_map_rule(model.as_gds(), prior.probs)))
 
 
 def error_rate(predicted, truth) -> float:

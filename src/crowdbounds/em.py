@@ -266,6 +266,8 @@ def em_fit(labels: LabelMatrix, config: EmConfig = EmConfig()) -> EmResult:
     if isinstance(result, Exception):
         raise result
     return result
+
+
 def em_map_predict(result: EmResult) -> np.ndarray:
     """Predict each item as the class with the largest fitted posterior."""
     return argmax_labels(result.posteriors)

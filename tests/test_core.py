@@ -188,15 +188,6 @@ class TestModelValidation:
         assert table[0].tolist() == pytest.approx([0.7, 0.3])
         assert table[1].tolist() == pytest.approx([0.6, 0.4])
 
-    def test_binary_rates_view(self):
-        model = WorkerModel.gds([[[0.8, 0.2], [0.3, 0.7]]])
-        p_plus, p_minus = model.binary_rates()
-        assert p_plus[0] == pytest.approx(0.8)
-        assert p_minus[0] == pytest.approx(0.7)
-        from crowdbounds.core import NotBinary
-        with pytest.raises(NotBinary):
-            WorkerModel.hds([0.8], 3).binary_rates()
-
     def test_label_set_round_trip_is_a_bijection(self, tmp_path):
         """``to_external`` and the readers' token table invert each other."""
         label_set = LabelSet(2, binary_convention=True)

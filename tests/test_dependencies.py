@@ -38,3 +38,30 @@ def test_importing_the_cli_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_top_level_definitions_follow_two_blank_lines():
+    """PEP 8 (E302, E303): exactly two blank lines before every top-level
+    ``def`` and ``class``, counting its decorators and the comment lines
+    right above it as part of the definition."""
+    crowded = []
+    for path in SOURCES:
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.parse(text, str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            first = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list]) - 1
+            while first and lines[first - 1].lstrip().startswith("#"):
+                first -= 1
+            if not first:
+                continue
+            blank = 0
+            while blank < first and not lines[first - 1 - blank].strip():
+                blank += 1
+            if blank != 2:
+                crowded.append(f"{path.name}:{first + 1} has {blank} blank "
+                               f"lines before it")
+    assert not crowded, crowded
