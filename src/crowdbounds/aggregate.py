@@ -4,7 +4,7 @@ hyperplane, oracle-MAP, iterative and one-step variants.
 Every rule funnels through one score-accumulation kernel and one argmax,
 which resolves ties to the lowest class. Votes gather one weight per label,
 rules the L entries of the label's row; the indicator rule's other entries
-are +0.0, which no bincount sum can feel, so the documented reductions
+are +0.0, which change no bit of a bincount sum, so the documented reductions
 (indicator scores == majority voting, weighted indicators == weighted
 voting, ...) hold bit-for-bit and not just up to rounding.
 """
