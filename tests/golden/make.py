@@ -1,11 +1,16 @@
-"""The golden corpus of ``run_experiment``: configs, inputs and expected text.
+"""The golden corpus of ``run_experiment`` and ``crowdbounds aggregate``:
+configs, command lines, inputs and expected text.
 
-Each case below is one experiment config. Its expected ``.csv`` and
-``.jsonl`` text, after the timestamp line, is stored next to this file as
-``<case>.csv`` and ``<case>.jsonl``; the two label files the dataset cases
-read are stored here as well, and ``versions.json`` records the numpy and
-Python that wrote the corpus. ``tests/test_golden.py`` reruns every case
-and compares the text.
+Each case in :data:`CASES` is one experiment config. Its expected ``.csv``
+and ``.jsonl`` text, after the timestamp line, is stored next to this file
+as ``<case>.csv`` and ``<case>.jsonl``. Each case in
+:data:`AGGREGATE_CASES` is one ``aggregate`` command line, run in process
+through ``cli.main``; its ``--out`` text is stored as ``<case>.csv`` and
+its stdout as ``<case>.json``. Text is read with universal newlines, so a
+stored file has LF line ends where the written one has CRLF. The label
+files the cases read are stored here as well, and ``versions.json`` records
+the numpy and Python that wrote the corpus. ``tests/test_golden.py`` reruns
+every case and compares the text.
 
     python tests/golden/make.py           # compare, print the first difference
     python tests/golden/make.py --write   # regenerate the corpus
@@ -17,6 +22,8 @@ every file that changed with it.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import sys
@@ -28,8 +35,10 @@ import numpy as np
 GOLDEN = Path(__file__).resolve().parent
 sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
 
+from crowdbounds.cli import main as cli_main  # noqa: E402
 from crowdbounds.harness import (  # noqa: E402
     KNOWN_METHODS,
+    METHODS,
     ExperimentConfig,
     run_experiment,
 )
@@ -75,6 +84,18 @@ CASES = {
         "dataset": {"path": TRIPLES, "truth": TRUTH, "L": 2, "binary": True}},
 }
 
+# Every method the CLI offers, on the binary triples file with its truth and
+# on the three-class grid.
+AGGREGATE_INPUTS = {
+    "triples": ["--in", TRIPLES, "--truth", TRUTH, "--binary"],
+    "dense": ["--in", DENSE, "--format", "dense-csv", "--classes", "3"],
+}
+AGGREGATE_CASES = {
+    f"aggregate_{data}_{name}": ["aggregate", "--method", name, *args]
+    for data, args in AGGREGATE_INPUTS.items()
+    for name, method in METHODS.items() if not method.needs_model
+}
+
 
 def write_inputs() -> None:
     """The dataset cases' label files, drawn with numpy alone: a 10 x 90
@@ -101,9 +122,24 @@ def write_inputs() -> None:
         f"i{j},{label}\n" for j, label in enumerate(truth)))
 
 
-def run_case(name: str, workdir: Path) -> dict[str, str]:
-    """The text after the stamp line of case ``name``'s two files, by
+def run_aggregate_case(name: str, workdir: Path) -> dict[str, str]:
+    """The ``--out`` text and the stdout of aggregate case ``name``, by
     suffix."""
+    out = workdir / f"{name}.csv"
+    argv = [str(GOLDEN / arg) if arg in (DENSE, TRIPLES, TRUTH) else arg
+            for arg in AGGREGATE_CASES[name]] + ["--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli_main(argv)
+    if code:
+        raise RuntimeError(f"{name} exited with {code}")
+    return {".csv": out.read_text(), ".json": stdout.getvalue()}
+
+
+def run_case(name: str, workdir: Path) -> dict[str, str]:
+    """The text of case ``name``'s files, by suffix: for an experiment, the
+    text after the stamp line of its two result files."""
+    if name in AGGREGATE_CASES:
+        return run_aggregate_case(name, workdir)
     raw = json.loads(json.dumps(CASES[name]))
     dataset = raw.get("dataset")
     if dataset:
@@ -131,7 +167,7 @@ def main(argv=None) -> int:
             json.dumps(versions(), indent=1) + "\n")
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CASES:
+        for name in [*CASES, *AGGREGATE_CASES]:
             for suffix, text in run_case(name, Path(tmp)).items():
                 path = GOLDEN / f"{name}{suffix}"
                 if args.write:
