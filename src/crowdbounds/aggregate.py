@@ -26,6 +26,7 @@ from .core import (
     WorkerModel,
     argmax_labels,
     check_accuracies,
+    check_shifts,
 )
 
 # IWMV's log-odds weights clip the estimated accuracies to [LOG_CLIP,
@@ -62,13 +63,7 @@ def weighted_majority_vote(labels: LabelMatrix, weights, shifts=None) -> np.ndar
     if not weights.any():
         warnings.warn("all worker weights are zero; every item is a tie",
                       stacklevel=2)
-    if shifts is None:
-        return argmax_labels(labels.vote_scores(weights))
-    shifts = np.asarray(shifts, dtype=float)  # DecomposableRule's checks
-    if shifts.shape != (labels.num_classes,):
-        raise DimensionMismatch("shift vector must have one entry per class")
-    if not np.isfinite(shifts).all():
-        raise DomainError("scores and shifts must be finite")
+    shifts = check_shifts(shifts, labels.num_classes)
     return argmax_labels(labels.vote_scores(weights, shifts))
 
 

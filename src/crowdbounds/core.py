@@ -350,6 +350,16 @@ def check_accuracies(values) -> np.ndarray:
     return values
 
 
+def check_shifts(shifts, num_classes: int) -> np.ndarray:
+    """Per-class shifts as floats (None: zeros), one finite entry per class."""
+    shifts = np.zeros(num_classes) if shifts is None else np.asarray(shifts, float)
+    if shifts.shape != (num_classes,):
+        raise DimensionMismatch("shift vector must have one entry per class")
+    if not np.isfinite(shifts).all():
+        raise DomainError("scores and shifts must be finite")
+    return shifts
+
+
 def symmetric_tables(diagonal, num_classes: int) -> np.ndarray:
     """(M, L, L) confusion tables with the given diagonal.
 
@@ -440,7 +450,7 @@ class DecomposableRule:
     ``scores[i, h - 1, k]`` is the contribution to class ``k`` when worker
     ``i`` gives label ``h`` (a missing label contributes nothing), the
     layout :meth:`LabelMatrix.item_scores` reads; ``shifts[k]`` is a class
-    offset added once per item.
+    offset added once per item (None: zeros).
     """
 
     scores: np.ndarray
@@ -448,15 +458,12 @@ class DecomposableRule:
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
-        shifts = np.asarray(self.shifts, dtype=float)
         if scores.ndim != 3 or scores.shape[1] != scores.shape[2]:
             raise DimensionMismatch("score table must have shape (M, L, L)")
-        if shifts.shape != (scores.shape[1],):
-            raise DimensionMismatch("shift vector must have one entry per class")
-        if not (np.isfinite(scores).all() and np.isfinite(shifts).all()):
+        object.__setattr__(self, "shifts", check_shifts(self.shifts, scores.shape[1]))
+        if not np.isfinite(scores).all():
             raise DomainError("scores and shifts must be finite")
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "shifts", shifts)
 
     @property
     def num_workers(self) -> int:
@@ -479,9 +486,7 @@ class DecomposableRule:
         scores = np.zeros((weights.size, num_classes, num_classes))
         idx = np.arange(num_classes)
         scores[:, idx, idx] = weights[:, None]
-        if shifts is None:
-            shifts = np.zeros(num_classes)
-        return cls(scores, np.asarray(shifts, dtype=float))
+        return cls(scores, shifts)
 
     @classmethod
     def oracle_map(cls, model: WorkerModel, prior: Prior) -> "DecomposableRule":
