@@ -549,7 +549,7 @@ class ExperimentConfig:
         if self.scenario not in _SWEEP_VARIABLES:
             raise DomainError(f"unknown scenario {self.scenario!r}")
         if self.trials < 1:
-            raise DomainError("at least one trial is required")
+            raise DomainError(f"trials must be at least 1, got {self.trials}")
         if self.master_seed < 0:
             raise DomainError(f"master_seed must not be negative, got "
                               f"{self.master_seed}")

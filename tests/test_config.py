@@ -143,6 +143,12 @@ def test_negative_seeds_exit_1_and_name_the_key(tmp_path, capsys):
         assert "--seed" in err and "non-negative" in err, (argv, err)
 
 
+def test_zero_trials_exit_1_and_name_the_key(tmp_path, capsys):
+    code, err = experiment(tmp_path, {**BASE, "trials": 0}, capsys)
+    assert code == 1, err
+    assert "trials must be at least 1, got 0" in err, err
+
+
 def test_wbar_outside_the_unit_interval_exits_1(tmp_path, capsys):
     for wbar in (0.0, 1.0, 1.2):
         grid = {**BASE, "sweep": {"variable": "wbar", "grid": [0.7, wbar]}}

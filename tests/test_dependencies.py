@@ -28,6 +28,32 @@ def test_sources_import_only_numpy_and_the_standard_library():
     assert not outside, outside
 
 
+def test_modules_use_every_name_they_import():
+    """Every name a module binds with a top-level ``import`` or ``from ...
+    import`` is used in it; ``__init__.py`` re-exports its imports and is
+    left out."""
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        used |= {node.value.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)}
+        imported.pop("annotations", None)  # from __future__ import annotations
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused
+
+
 def test_importing_the_cli_loads_no_process_pool():
     """The experiment runner imports its pool only when it forks workers, so
     every other command starts without paying for it."""

@@ -616,6 +616,35 @@ class TestCellPool:
             "30 items", "30 items", "40 items", "40 items", "50 items",
             "50 items"]
 
+    def test_a_failing_trial_stays_in_its_own_row(self, monkeypatch):
+        """A method that raises on one trial reports the error in that
+        trial's row only, though the trial shares its group with others."""
+        vote = harness.majority_vote
+
+        def failing(labels, *args, **kwargs):
+            if labels.num_items == 40:
+                raise DomainError("no vote at 40 items")
+            return vote(labels, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "majority_vote", failing)
+        # 9 * N * 0.5 expected labels: groups of N = 30 and 40, of 50, of 60.
+        config = small_sweep_config(methods=KNOWN_METHODS, trials=1,
+                                    sweep_variable="N",
+                                    sweep_grid=(30, 40, 50, 60))
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_GROUP_LABELS", 400)
+            assert harness._cell_groups(config, None) == [
+                [(0, 0), (1, 0)], [(2, 0)], [(3, 0)]]
+        serial, pooled = (run_on(workers, config, monkeypatch,
+                                 group_labels=400) for workers in (1, 2))
+        assert serial == pooled
+        assert len(serial) == 4 * len(KNOWN_METHODS)
+        assert [(row.sweep, row.method, row.error) for row in serial
+                if row.error is not None] == [(40.0, "mv",
+                                               "no vote at 40 items")]
+        assert all(row.error_rate is not None for row in serial
+                   if row.error is None)
+
     def test_groups_hold_consecutive_cells_by_expected_labels(self):
         # 5 * 200 * 0.8 = 800 expected labels at N = 200, 3200 at N = 800;
         # a group holds at most 2 ** 14 = 16384, and may span sweep values.
