@@ -106,7 +106,10 @@ def _cmd_aggregate(args) -> int:
     label_set = LabelSet(args.classes, args.binary)
     labels, _, item_ids = load_labels(args.infile, args.format,
                                       label_set=label_set)
-    predictions, iterations = METHODS[args.method].run(labels, None, {})
+    outcome, = METHODS[args.method].run([(labels, None)], {})
+    if isinstance(outcome, Exception):
+        raise outcome
+    predictions, iterations = outcome
     if args.out:
         _write_csv(args.out, "item,label", "{},{}", item_ids,
                    label_set.to_external(predictions))

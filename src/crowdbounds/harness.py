@@ -8,11 +8,12 @@ timestamp header line. The (sweep value, trial) cells are dispatched in
 groups of consecutive cells whose expected label count stays within
 :data:`_GROUP_LABELS` (one cell per group when ``record_timing`` is set),
 each group a task of a pool with one forked process per CPU that the calling
-process may use. Within a group the cells run in order, except that EM fits
-all of the group's trials in one batch. The rows are the same bytes as a
-serial, one-cell-at-a-time run's; restrict the CPU affinity (``taskset -c
-0``) to run them serially, with identical rows. Every aggregation method is
-named once, in :data:`METHODS`.
+process may use. A group makes its cells' trial data, in order, and then
+runs each method once, on all of its trials, in the config's method order.
+The rows are the same bytes as a serial, one-cell-at-a-time run's; restrict
+the CPU affinity (``taskset -c 0``) to run them serially, with identical
+rows. Every aggregation method is named once, in :data:`METHODS`, with one
+runner that takes a group's trials.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .core import (
     WorkerModel,
     error_rate,
 )
-from .em import EmConfig, em_fit, em_fit_many, em_map_predict
+from .em import EmConfig, em_fit_many, em_map_predict
 from .simulate import (
     SimConfig,
     cell_uniforms,
@@ -435,15 +436,23 @@ def _run_iwmv(labels, accuracies, limits, weight_mode):
     return result.predictions, result.iterations
 
 
-def _run_em(labels, accuracies, limits, model_kind):
-    result = em_fit(labels, EmConfig(model_kind=model_kind, **limits))
-    return em_map_predict(result), result.iterations
+def _per_trial(run, trials, limits):
+    """Each trial's ``run(labels, accuracies, limits)``, or the exception
+    it raised."""
+    outcomes = []
+    for labels, accuracies in trials:
+        try:
+            outcomes.append(run(labels, accuracies, limits))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
-def _run_em_many(matrices, limits, model_kind):
+def _run_em(trials, limits, model_kind):
+    """One EM fit of all the trials' labels (:func:`em_fit_many`)."""
     return [fit if isinstance(fit, Exception)
             else (em_map_predict(fit), fit.iterations)
-            for fit in em_fit_many(matrices,
+            for fit in em_fit_many([labels for labels, _ in trials],
                                    EmConfig(model_kind=model_kind, **limits))]
 
 
@@ -469,40 +478,41 @@ def _one_step_bound(labels, accuracies, q):
 class Method:
     """One aggregation method of the harness and the CLI.
 
-    ``run(labels, accuracies, limits)`` returns the predictions and the
-    iteration count (None for rules that do not iterate). ``accuracies``
-    are the workers' true single-accuracy-model parameters, or None where
-    they are unknown; the methods with ``needs_model`` fail without them.
-    ``limits`` holds keyword arguments for the iterative methods' stopping
-    rule (empty: their defaults). ``bound(labels, accuracies, q)``, where
-    present, gives the (upper, lower, condition) bound columns.
-    ``run_many(matrices, limits)``, where present, runs the method on
-    several trials' labels at once and gives each trial's ``run`` result, or
-    the exception its run raised.
+    ``run(trials, limits)`` runs the method on a list of trials, each a
+    ``(labels, accuracies)`` pair, and gives for each trial its predictions
+    and iteration count (None for rules that do not iterate), or the
+    exception its run raised. ``accuracies`` are the workers' true
+    single-accuracy-model parameters, or None where they are unknown; the
+    methods with ``needs_model`` fail without them. ``limits`` holds keyword
+    arguments for the iterative methods' stopping rule (empty: their
+    defaults). ``bound(labels, accuracies, q)``, where present, gives the
+    (upper, lower, condition) bound columns.
     """
 
     run: Callable
     needs_model: bool = False
     bound: Callable | None = None
-    run_many: Callable | None = None
 
 
 METHODS = {
     "mv": Method(
-        lambda labels, accuracies, limits: (majority_vote(labels), None),
+        partial(_per_trial, lambda labels, accuracies, limits:
+                (majority_vote(labels), None)),
         bound=partial(_vote_bound,
                       lambda accuracies, L: np.ones(accuracies.size))),
-    "wmv": Method(_run_wmv, needs_model=True,
+    "wmv": Method(partial(_per_trial, _run_wmv), needs_model=True,
                   bound=partial(_vote_bound, bound_optimal_weights)),
-    "iwmv": Method(partial(_run_iwmv, weight_mode="linear")),
-    "iwmv-log": Method(partial(_run_iwmv, weight_mode="log")),
-    "oswmv": Method(lambda labels, accuracies, limits: (one_step_wmv(labels), 1),
+    "iwmv": Method(partial(_per_trial,
+                           partial(_run_iwmv, weight_mode="linear"))),
+    "iwmv-log": Method(partial(_per_trial,
+                               partial(_run_iwmv, weight_mode="log"))),
+    "oswmv": Method(partial(_per_trial, lambda labels, accuracies, limits:
+                            (one_step_wmv(labels), 1)),
                     bound=_one_step_bound),
-    "em-gds": Method(partial(_run_em, model_kind="gds"),
-                     run_many=partial(_run_em_many, model_kind="gds")),
-    "em-hds": Method(partial(_run_em, model_kind="hds"),
-                     run_many=partial(_run_em_many, model_kind="hds")),
-    "oracle-map": Method(_run_oracle_map, needs_model=True,
+    "em-gds": Method(partial(_run_em, model_kind="gds")),
+    "em-hds": Method(partial(_run_em, model_kind="hds")),
+    "oracle-map": Method(partial(_per_trial, _run_oracle_map),
+                         needs_model=True,
                          bound=partial(_vote_bound, oracle_map_weights_hds)),
 }
 KNOWN_METHODS = tuple(METHODS)
@@ -653,16 +663,6 @@ def _method_row(config: ExperimentConfig, name: str, sweep_value, trial: int,
             None, None, None, None, None, error=str(exc))
 
 
-def _timed(run, *args):
-    """``run(*args)``, or the exception it raised, and its wall time."""
-    started = time.perf_counter()
-    try:
-        outcome = run(*args)
-    except Exception as exc:
-        outcome = exc
-    return outcome, time.perf_counter() - started
-
-
 @contextlib.contextmanager
 def _recording(into: list):
     """Record the warnings raised in the block and append them to ``into``
@@ -673,46 +673,35 @@ def _recording(into: list):
 
 
 def _run_group(config: ExperimentConfig, dataset, group) -> tuple[list, list]:
-    """Rows of a group of (sweep index, trial) cells, with the warnings they
-    raised.
+    """Rows of a group of (sweep index, trial) cells, in row order, with
+    the warnings they raised.
 
-    Each cell runs in turn, as a cell of its own would, except the methods
-    with ``run_many``: each of those runs once, on every cell's labels,
-    after the cells, and its warnings come after theirs.
+    The group's trial data comes first, cell by cell; then each method runs
+    once, on all of the group's trials, in the config's method order, and
+    its rows are made. The warnings come in the same order.
     """
     limits = {}
     if config.fixed_iterations is not None:
         limits = {"max_iters": config.fixed_iterations,
                   "stop_on_convergence": False}
-    rows, caught, batched = [], [], {}
-    for sweep_index, trial in group:
-        sweep_value = config.sweep_grid[sweep_index]
-        with _recording(caught):
-            data = _trial_data(config, sweep_index, sweep_value, trial,
-                               dataset)
-            labels, _, accuracies, _ = data
-            for name in config.methods:
-                method = METHODS[name]
-                if method.run_many is not None:
-                    batched.setdefault(name, []).append(
-                        (len(rows), sweep_value, trial, data))
-                    rows.append(None)  # filled in below
-                    continue
-                outcome, elapsed = _timed(method.run, labels, accuracies,
-                                          limits)
-                rows.append(_method_row(config, name, sweep_value, trial,
-                                        data, outcome, elapsed))
+    caught, rows = [], [[] for _ in group]  # each cell's rows
     with _recording(caught):
-        for name, cells in batched.items():
-            outcomes, elapsed = _timed(METHODS[name].run_many,
-                                       [data[0] for *_, data in cells], limits)
-            if isinstance(outcomes, Exception):
-                outcomes = [outcomes] * len(cells)
-            for (index, sweep_value, trial, data), outcome in zip(cells,
-                                                                   outcomes):
-                rows[index] = _method_row(config, name, sweep_value, trial,
-                                          data, outcome, elapsed)
-    return rows, caught
+        data = [_trial_data(config, sweep_index, config.sweep_grid[sweep_index],
+                            trial, dataset) for sweep_index, trial in group]
+        trials = [(labels, accuracies) for labels, _, accuracies, _ in data]
+        for name in config.methods:
+            started = time.perf_counter()
+            try:
+                outcomes = METHODS[name].run(trials, limits)
+            except Exception as exc:  # the run failed as a whole
+                outcomes = [exc] * len(trials)
+            elapsed = time.perf_counter() - started
+            for cell_rows, (sweep_index, trial), cell, outcome in zip(
+                    rows, group, data, outcomes):
+                cell_rows.append(_method_row(
+                    config, name, config.sweep_grid[sweep_index], trial, cell,
+                    outcome, elapsed))
+    return [row for cell_rows in rows for row in cell_rows], caught
 
 
 # The expected labels of the cells one pool task runs together: enough to
@@ -820,9 +809,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     so a row's content does not depend on the cells run before it nor on
     the process that ran it: groups of trials (:func:`_cell_groups`) run on
     one forked process per available CPU, and the rows equal a serial run's.
-    Warnings raised in a group are re-emitted here in trial order, those of
-    its batched EM fits last (those of a group that raises are dropped with
-    it); an exception that escapes a trial is that of the earliest failing
+    Warnings raised in a group are re-emitted here group by group, each
+    group's in the order they were raised: its trial data's first, then each
+    method's, in config order (those of a group that raises are dropped with
+    it). An exception that escapes a trial is that of the earliest failing
     trial in row order.
     """
     dataset = None

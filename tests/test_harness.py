@@ -364,11 +364,12 @@ class TestRunExperiment:
     def test_only_methods_that_need_the_model_fail_without_it(self):
         labels = LabelMatrix.from_dense(np.array([[1, 2, 1], [1, 2, 2], [2, 2, 1]]), 2)
         for name, method in METHODS.items():
+            outcome, = method.run([(labels, None)], {})
             if method.needs_model:
                 with pytest.raises(DomainError, match="true"):
-                    method.run(labels, None, {})
+                    raise outcome
             else:
-                predictions, _ = method.run(labels, None, {})
+                predictions, _ = outcome
                 assert predictions.shape == (3,)
 
     def test_config_rejects_unknown_keys(self, tmp_path):
@@ -601,9 +602,10 @@ class TestCellPool:
     def test_worker_warnings_reach_the_caller_in_trial_order(self, monkeypatch):
         vote = METHODS["mv"].run
 
-        def warn_then_vote(labels, accuracies, limits):
-            warnings.warn(f"{labels.num_items} items", UserWarning)
-            return vote(labels, accuracies, limits)
+        def warn_then_vote(trials, limits):
+            for labels, _ in trials:
+                warnings.warn(f"{labels.num_items} items", UserWarning)
+            return vote(trials, limits)
 
         monkeypatch.setitem(METHODS, "mv", Method(warn_then_vote))
         config = small_sweep_config(methods=("mv",), sweep_variable="N",

@@ -65,7 +65,7 @@ def assert_aggregate_bytes(tmp_path, labels_path, label_set, method):
     assert main(argv + (["--binary"] if label_set.binary_convention
                         else [])) == 0
     labels, _, item_ids = load_labels(labels_path, label_set=label_set)
-    predictions, _ = METHODS[method].run(labels, None, {})
+    (predictions, _), = METHODS[method].run([(labels, None)], {})
     assert out_path.read_bytes() == reference_csv(
         tmp_path / "reference.csv", ["item", "label"],
         zip(item_ids, label_set.to_external(predictions).tolist()))
