@@ -1,13 +1,15 @@
-"""The golden corpus of ``run_experiment`` and ``crowdbounds aggregate``:
-configs, command lines, inputs and expected text.
+"""The golden corpus of ``run_experiment`` and the ``crowdbounds aggregate``,
+``summarize`` and ``simulate`` commands: configs, command lines, inputs and
+expected text.
 
 Each case in :data:`CASES` is one experiment config. Its expected ``.csv``
 and ``.jsonl`` text, after the timestamp line, is stored next to this file
-as ``<case>.csv`` and ``<case>.jsonl``. Each case in
-:data:`AGGREGATE_CASES` is one ``aggregate`` command line, run in process
-through ``cli.main``; its ``--out`` text is stored as ``<case>.csv`` and
-its stdout as ``<case>.json``. Text is read with universal newlines, so a
-stored file has LF line ends where the written one has CRLF. The label
+as ``<case>.csv`` and ``<case>.jsonl``. Each case in :data:`CLI_CASES` is
+one command line, run in process through ``cli.main``; its stdout is stored
+as ``<case>.json`` and the text of each file it writes under the suffix
+that :data:`OUT_FLAGS` gives the file's flag (``aggregate --out`` as
+``<case>.csv``). Text is read with universal newlines, so a stored file has
+LF line ends where the written one has CRLF. The label
 files the cases read are stored here as well, and ``versions.json`` records
 the numpy and Python that wrote the corpus. ``tests/test_golden.py`` reruns
 every case and compares the text.
@@ -86,15 +88,33 @@ CASES = {
 
 # Every method the CLI offers, on the binary triples file with its truth and
 # on the three-class grid.
-AGGREGATE_INPUTS = {
+LABEL_INPUTS = {
     "triples": ["--in", TRIPLES, "--truth", TRUTH, "--binary"],
     "dense": ["--in", DENSE, "--format", "dense-csv", "--classes", "3"],
 }
-AGGREGATE_CASES = {
+CLI_CASES = {
     f"aggregate_{data}_{name}": ["aggregate", "--method", name, *args]
-    for data, args in AGGREGATE_INPUTS.items()
+    for data, args in LABEL_INPUTS.items()
     for name, method in METHODS.items() if not method.needs_model
 }
+# Both label files summarized, whole and subsampled.
+SUBSAMPLE = ["--subsample", "0.5", "--seed", "3"]
+CLI_CASES |= {
+    f"summarize_{data}{tag}": ["summarize", *args, *extra]
+    for data, args in LABEL_INPUTS.items()
+    for tag, extra in (("", []), ("_subsample", SUBSAMPLE))
+}
+# Small simulated crowds, three-class and binary.
+SIMULATE = ["simulate", "--workers", "6", "--items", "20", "--q", "0.7",
+            "--seed", "5"]
+CLI_CASES |= {
+    "simulate_3class": [*SIMULATE, "--classes", "3"],
+    "simulate_binary": [*SIMULATE, "--binary"],
+}
+# The file a command writes for each flag, by the suffix its text is stored
+# under.
+OUT_FLAGS = {"aggregate": {"--out": ".csv"}, "summarize": {},
+             "simulate": {"--out-labels": ".csv", "--out-truth": "_truth.csv"}}
 
 
 def write_inputs() -> None:
@@ -122,24 +142,28 @@ def write_inputs() -> None:
         f"i{j},{label}\n" for j, label in enumerate(truth)))
 
 
-def run_aggregate_case(name: str, workdir: Path) -> dict[str, str]:
-    """The ``--out`` text and the stdout of aggregate case ``name``, by
+def run_cli_case(name: str, workdir: Path) -> dict[str, str]:
+    """The stdout and the written files' text of CLI case ``name``, by
     suffix."""
-    out = workdir / f"{name}.csv"
     argv = [str(GOLDEN / arg) if arg in (DENSE, TRIPLES, TRUTH) else arg
-            for arg in AGGREGATE_CASES[name]] + ["--out", str(out)]
+            for arg in CLI_CASES[name]]
+    outs = {suffix: workdir / f"{name}{suffix}"
+            for suffix in OUT_FLAGS[argv[0]].values()}
+    for flag, suffix in OUT_FLAGS[argv[0]].items():
+        argv += [flag, str(outs[suffix])]
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = cli_main(argv)
     if code:
         raise RuntimeError(f"{name} exited with {code}")
-    return {".csv": out.read_text(), ".json": stdout.getvalue()}
+    return {**{suffix: out.read_text() for suffix, out in outs.items()},
+            ".json": stdout.getvalue()}
 
 
 def run_case(name: str, workdir: Path) -> dict[str, str]:
     """The text of case ``name``'s files, by suffix: for an experiment, the
     text after the stamp line of its two result files."""
-    if name in AGGREGATE_CASES:
-        return run_aggregate_case(name, workdir)
+    if name in CLI_CASES:
+        return run_cli_case(name, workdir)
     raw = json.loads(json.dumps(CASES[name]))
     dataset = raw.get("dataset")
     if dataset:
@@ -167,7 +191,7 @@ def main(argv=None) -> int:
             json.dumps(versions(), indent=1) + "\n")
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in [*CASES, *AGGREGATE_CASES]:
+        for name in [*CASES, *CLI_CASES]:
             for suffix, text in run_case(name, Path(tmp)).items():
                 path = GOLDEN / f"{name}{suffix}"
                 if args.write:

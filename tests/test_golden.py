@@ -1,5 +1,5 @@
-"""Every golden case of ``run_experiment`` and ``crowdbounds aggregate``
-writes the stored text.
+"""Every golden case of ``run_experiment`` and of the ``crowdbounds``
+commands writes the stored text.
 
 The corpus (``tests/golden``) holds the expected files after their stamp
 line; ``tests/golden/make.py --write`` regenerates it. A failure names the
@@ -18,7 +18,7 @@ make = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make)
 
 
-@pytest.mark.parametrize("name", sorted([*make.CASES, *make.AGGREGATE_CASES]))
+@pytest.mark.parametrize("name", sorted([*make.CASES, *make.CLI_CASES]))
 def test_case_writes_the_stored_text(name, tmp_path):
     recorded = json.loads((GOLDEN / "versions.json").read_text())
     for suffix, text in make.run_case(name, tmp_path).items():
