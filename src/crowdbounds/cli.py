@@ -160,10 +160,21 @@ BOUND_SCENARIOS = {
 }
 
 
+# The counts of ``--params`` that the bound calculators check: key, least
+# value, and the calculators' message.
+_COUNTS = (("M", 1, "at least one worker is required"),
+           ("N", 1, "at least one item is required"),
+           ("L", 2, "at least two classes are required"))
+
+
 def _cmd_bounds(args) -> int:
     scenario = args.scenario
     params = check_json(f"{scenario!r} --params", json.loads(args.params),
                         "object", BOUND_SCENARIOS[scenario], "parameter {!r}")
+    for key, least, message in _COUNTS:
+        if params.get(key) is not None and params[key] < least:
+            raise DomainError(f"{scenario!r} --params parameter {key!r}: "
+                              f"{message}")
     if scenario == "wmv-hds":
         quantities = bnd.quantities_wmv_hds(
             params["q"], params["weights"], params["accuracies"], params["L"])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -57,6 +58,7 @@ from .em import EmConfig, em_fit_many, em_map_predict
 from .simulate import (
     SimConfig,
     cell_uniforms,
+    check_beta_sampler,
     derive_rng,
     make_misspecified_dataset,
     sample_workers_beta,
@@ -90,6 +92,15 @@ LABEL_FORMATS = ("csv-triples", "dense-csv")
 
 _READ_BLOCK = 1 << 16  # characters of whole lines the label reader decodes at once
 
+# The bytes of a plain block's rows: printable ASCII but the double quote,
+# so that no cell has whitespace to strip or a quote, and line ends.
+_PLAIN = np.zeros(256, bool)
+_PLAIN[0x21:0x7F] = True
+_PLAIN[[ord('"'), ord("\n")]] = False, True
+# The masks that keep a word's first 0 to 8 bytes.
+_KEEP = np.frombuffer(b"".join(b"\xff" * n + bytes(8 - n) for n in range(9)),
+                      np.uint64)
+
 
 def _line_blocks(handle):
     """Yield a text file's lines in blocks of whole lines, each ending in
@@ -106,17 +117,143 @@ def _line_blocks(handle):
         yield rest + "\n"
 
 
+def _byte_words(raw: bytes) -> np.ndarray:
+    """The eight bytes from each position of ``raw`` on, zeros past its end,
+    as one uint64 word per position (the words overlap)."""
+    return np.ndarray(len(raw) + 1, np.uint64, raw + bytes(8), strides=(1,))
+
+
+def _pack(at: np.ndarray, starts, stops) -> np.ndarray:
+    """The byte strings ``[starts[k], stops[k])`` of the bytes under ``at``
+    (:func:`_byte_words`), one after another, as uint64 words. A string of
+    n bytes fills ``n // 8 + 1`` words with its bytes complemented, then
+    zeros: UTF-8 has no byte 0xFF, so a string's last word is the one whose
+    last byte is zero, and only equal strings give equal words."""
+    spans = (stops - starts) // 8 + 1
+    shift = 8 * (np.cumsum(spans) - spans)  # the bytes of the words before
+    step = 8 * np.arange(spans.sum())
+    size = np.repeat(stops - starts + shift, spans) - step  # bytes left
+    return ~at[np.repeat(starts - shift, spans) + step] & _KEEP[
+        np.minimum(size, 8)]
+
+
+def _pack_text(keys: list) -> np.ndarray:
+    """:func:`_pack` of strings, each as its UTF-8 bytes."""
+    raw = "\n".join([*keys, ""]).encode()
+    stops = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    return _pack(_byte_words(raw), np.r_[0, stops + 1][:-1], stops)
+
+
+def _intern(words: np.ndarray):
+    """Number the keys that :func:`_pack` packed into ``words`` in order of
+    first appearance: each key's number, and the keys in that order.
+
+    Keys of one length in words are sorted together, by all their words, so
+    that a long key costs only its own words."""
+    end = words.view(np.uint8)[7::8] == 0  # a key's last word
+    spans = np.diff(np.flatnonzero(end), prepend=-1)
+    group = np.empty(spans.size, np.int64)  # each key's, numbered by length
+    first = [np.empty(0, np.int64)]  # each group's first key
+    for span in np.flatnonzero(np.bincount(spans)):
+        keys = np.flatnonzero(spans == span)
+        table = (words if keys.size == spans.size else
+                 words[np.repeat(spans == span, spans)]).reshape(-1, span)
+        order = np.argsort(table[:, 0]) if span == 1 else np.lexsort(table.T)
+        table = table[order]
+        new = np.ones(keys.size, bool)
+        new[1:] = (table[1:] != table[:-1]).any(axis=1)
+        del table
+        group[keys[order]] = np.cumsum(new) - 1 + sum(map(len, first))
+        first.append(keys[np.minimum.reduceat(order, np.flatnonzero(new))])
+    first = np.concatenate(first)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    # The first keys' words, back to UTF-8 with a line end for the last
+    # byte of each key's last word; the other padding complements to 0xFF.
+    chosen = np.zeros(spans.size, bool)
+    chosen[first] = True
+    kept = np.repeat(chosen, spans)
+    text = ~words[kept].view(np.uint8).reshape(-1, 8)
+    text[end[kept], 7] = ord("\n")
+    return rank[group], text[text != 0xFF].tobytes().decode().split("\n")[:-1]
+
+
+def _token_tables(by_token: dict):
+    """The label token table on bytes: one-byte tokens' codes by byte (-1:
+    none), and the other tokens of under 8 bytes as sorted :func:`_pack`
+    words with their codes."""
+    by_byte = np.full(256, -1, np.int64)
+    for token, code in by_token.items():
+        if len(token) == 1:
+            by_byte[ord(token)] = code
+    short = [token for token in by_token if len(token) < 8]
+    words = _pack_text(short)
+    order = np.argsort(words)
+    return by_byte, words[order], np.array([by_token[t] for t in short],
+                                           np.int64)[order]
+
+
+def _token_codes(data, at, starts, stops, tables):
+    """The codes of the label tokens ``[starts[k], stops[k])`` of the bytes
+    ``data`` (``at``: their :func:`_byte_words`), or None if one is not in
+    ``tables`` (:func:`_token_tables`)."""
+    by_byte, words, codes = tables
+    lengths = stops - starts
+    if (lengths == 1).all():
+        found = by_byte[data[starts]]
+    elif lengths.max() < 8:  # one word each
+        packed = _pack(at, starts, stops)
+        at = np.minimum(np.searchsorted(words, packed), words.size - 1)
+        found = np.where(words[at] == packed, codes[at], -1)
+    else:
+        return None
+    return found if (found >= 0).all() else None
+
+
+def _plain_rows(raw: bytes, data, ends, commas, start, width, keyed, tables):
+    """The key words (per key column) and label codes of the rows of a
+    block, ``raw`` (``data``: its bytes, with line ``ends`` and ``commas``),
+    read on its bytes from line ``start`` on, where no line is empty and
+    each has ``width`` fields; None unless every byte of those lines is
+    :data:`_PLAIN` and every label token is in ``tables``."""
+    begin = int(ends[start - 1]) + 1 if start else 0
+    if not _PLAIN[data[begin:]].all():
+        return None
+    lines = ends[start:]
+    rows = lines.size
+    if not keyed and data.size - begin == 2 * width * rows:
+        # Rows of 2 * width bytes: one-byte tokens and their separators.
+        grid = data[begin:].reshape(rows, 2 * width)
+        if (grid[:, -1] == ord("\n")).all():
+            codes = tables[0][grid[:, ::2]]
+            return [codes.ravel()] if (codes >= 0).all() else None
+    # Each field lies between two cuts: a comma or a line end.
+    cuts = np.empty((rows, width + 1), np.int64)
+    cuts[0, 0] = begin - 1
+    cuts[1:, 0] = lines[:-1]
+    cuts[:, 1:-1] = commas[np.searchsorted(commas, begin):].reshape(
+        rows, width - 1)
+    cuts[:, -1] = lines
+    at = _byte_words(raw)
+    tokens = cuts[:, -2:] if keyed else cuts
+    codes = _token_codes(data, at, tokens[:, :-1].ravel() + 1,
+                         tokens[:, 1:].ravel(), tables)
+    if codes is None:
+        return None
+    return [*(_pack(at, cuts[:, k] + 1, cuts[:, k + 1])
+              for k in range(width - 1 if keyed else 0)), codes]
+
+
 def _read_table(path, header: tuple, label_set: LabelSet):
     """Read a label CSV block by block and decode it.
 
     A keyed file starts with the line ``header`` (``worker,item,label`` or
     ``item,label``); each row holds key fields and one label. It comes back
-    as, per key column, a dict from each stripped key to its
-    first-appearance position, then the rows' key positions and the labels'
-    internal classes, sorted by key (the first column first, stably); no two
-    rows may share every key. A dense grid (``header=()``) has neither:
-    every field is a label, 0 marks a missing one, and the classes come back
-    as a (rows, width) array.
+    as, per key column, the stripped keys in order of first appearance,
+    then the rows' key positions and the labels' internal classes, sorted by
+    key (the first column first, stably); no two rows may share every key.
+    A dense grid (``header=()``) has neither: every field is a label, 0
+    marks a missing one, and the classes come back as a (rows, width) array.
 
     Lines may end in LF, CRLF or a lone CR, empty lines are skipped, and
     cells are stripped of surrounding whitespace. Every row must have as
@@ -126,46 +263,63 @@ def _read_table(path, header: tuple, label_set: LabelSet):
     an error.
 
     The file is read in blocks of whole lines (:func:`_line_blocks`), and
-    each check runs over a block's whole columns; only the int64 key and
-    class arrays of the rows read so far are kept, and the key dicts and
-    token table carry over from block to block. Reading stops at the first
-    faulty block, and the error raised is the first faulty line's, as a
-    line-by-line reader finds it: a repeated key before that line, else its
-    quote or field count, else its label.
+    each check runs over a block's whole columns. A plain block (every row
+    of printable ASCII without a quote or a space, none empty, each with
+    the right field count and canonical label tokens) is read on its bytes
+    (:func:`_plain_rows`); any other block is split into stripped strings.
+    Either way a block adds its rows' keys as :func:`_pack` words and its
+    classes as int64, and only these arrays are kept; one :func:`_intern`
+    pass per key column, at the end of the file, numbers the keys. Reading
+    stops at the first faulty block, and the error raised is the first
+    faulty line's, as a line-by-line reader finds it: a repeated key before
+    that line, else its quote or field count, else its label.
     """
     classes = range(1, label_set.num_classes + 1)
     class_of = dict(zip(label_set.to_external(classes).tolist(), classes))
     if not header:
         class_of[0] = 0
     by_token = {str(value): code for value, code in class_of.items()}
-    indices = [{} for _ in header[1:]]  # a key's first-appearance position
-    # Per column (the keys', then the classes'), the arrays of each block.
-    columns = [[np.empty(0, np.int64)] for _ in range(len(header) or 1)]
+    tables = _token_tables(by_token)
+    # Per column (the keys' words, then the classes), the arrays of each block.
+    columns = [[np.empty(0, np.uint64)] for _ in header[1:]]
+    columns.append([np.empty(0, np.int64)])
     width = len(header)  # a grid's is its first row's
     error, lines_read = None, 0
     with open(path) as handle:  # universal newlines: CRLF and CR read as LF
         for text in _line_blocks(handle):
-            # Where each line ends, and its commas and quotes, on the bytes.
-            data = np.frombuffer(text.encode(), np.uint8)
+            # Where each line ends, and its commas, on the bytes.
+            raw = text.encode()
+            data = np.frombuffer(raw, np.uint8)
             ends = np.flatnonzero(data == ord("\n"))
-            commas, quotes = (np.diff(np.searchsorted(
-                np.flatnonzero(data == ord(c)), ends), prepend=0) for c in ',"')
-            lines = text.split("\n")
+            at_comma = np.flatnonzero(data == ord(","))
+            commas = np.diff(np.searchsorted(at_comma, ends), prepend=0)
             start = 0
             if header and not lines_read:
-                if quotes[0]:
+                first = text[:text.index("\n")]
+                if '"' in first:
                     raise ParseError(1, "quoted fields are not supported")
                 if [cell.strip().lower()
-                        for cell in lines[0].split(",")] != list(header):
+                        for cell in first.split(",")] != list(header):
                     raise ParseError(1, f"expected header {','.join(header)!r}")
                 start = 1
             before, lines_read = lines_read, lines_read + ends.size
             # The block's 0-based line of each row: the lines that are not empty.
             numbers = np.flatnonzero(np.diff(ends, prepend=-1)[start:] > 1) + start
-            rows = list(filter(None, lines[start:]))
-            if not rows:
+            if not numbers.size:
                 continue
             width = width or 1 + int(commas[numbers[0]])
+            if numbers.size == ends.size - start and (
+                    commas[start:] == width - 1).all():
+                block = _plain_rows(raw, data, ends, at_comma, start, width,
+                                    bool(header), tables)
+                if block is not None:
+                    for column, part in zip(columns, block):
+                        column.append(part)
+                    continue
+            quotes = np.diff(np.searchsorted(
+                np.flatnonzero(data == ord('"')), ends), prepend=0)
+            lines = text.split("\n")
+            rows = list(filter(None, lines[start:]))
             per_row = 1 if header else width  # label tokens per row
             bad = np.flatnonzero((commas[numbers] != width - 1)
                                  | (quotes[numbers] > 0))
@@ -191,33 +345,35 @@ def _read_table(path, header: tuple, label_set: LabelSet):
                          if token in by_token else
                          ParseError(line, f"label {token!r} is not an integer"))
             n = k // per_row  # the rows before the first faulty one
-            for column, (index, keys) in enumerate(zip(indices, columns)):
-                keys.append(np.array([index.setdefault(key, len(index)) for key
-                                      in cells[column:n * width:width]],
-                                     dtype=np.int64))
+            for column, keys in enumerate(columns[:-1]):
+                keys.append(_pack_text(cells[column:n * width:width]))
             columns[-1].append(np.array(codes[:n * per_row], dtype=np.int64))
             if error:
                 break
     if header and not lines_read:
         raise EmptyMatrix(f"{path} is empty")
+    ids = []
     for c, column in enumerate(columns):  # one column's blocks at a time
         columns[c] = np.concatenate(column)
+        if c < len(header) - 1:
+            columns[c], column_ids = _intern(columns[c])
+            ids.append(column_ids)
     *keys, classes = columns
     if not header:
         if error:
             raise error
         return [], [], classes.reshape(-1, width or 1)
-    cell = np.ravel_multi_index(keys, [len(index) for index in indices])
+    cell = np.ravel_multi_index(keys, [len(column) for column in ids])
     order = np.argsort(cell, kind="stable")
     repeats = order[1:][np.diff(cell[order]) == 0]
     if repeats.size:
         row = repeats.min()
-        ids = [list(index)[key[row]] for index, key in zip(indices, keys)]
+        names = [column[key[row]] for column, key in zip(ids, keys)]
         # A truth file's repeated item is reported for the worker "<truth>".
-        raise DuplicateLabel(*["<truth>", *ids][-2:])
+        raise DuplicateLabel(*["<truth>", *names][-2:])
     if error:
         raise error
-    return indices, [key[order] for key in keys], classes[order]
+    return ids, [key[order] for key in keys], classes[order]
 
 
 def load_labels(path, fmt: str = "csv-triples", *, label_set: LabelSet):
@@ -240,13 +396,13 @@ def load_labels(path, fmt: str = "csv-triples", *, label_set: LabelSet):
         labels = LabelMatrix.from_dense(grid, label_set.num_classes)
         return (labels, [str(i) for i in range(labels.num_workers)],
                 [str(j) for j in range(labels.num_items)])
-    (worker_index, item_index), (workers, items), values = _read_table(
+    (worker_ids, item_ids), (workers, items), values = _read_table(
         path, ("worker", "item", "label"), label_set)
     if not values.size:
         raise EmptyMatrix(f"{path} contains no labels")
-    labels = LabelMatrix(workers, items, values, len(worker_index),
-                         len(item_index), label_set.num_classes)
-    return labels, list(worker_index), list(item_index)
+    labels = LabelMatrix(workers, items, values, len(worker_ids),
+                         len(item_ids), label_set.num_classes)
+    return labels, worker_ids, item_ids
 
 
 def load_truth(path, label_set: LabelSet,
@@ -257,13 +413,15 @@ def load_truth(path, label_set: LabelSet,
     whose item is not among them (an item nobody labelled), which callers
     report rather than drop silently.
     """
-    (by_item,), _, labels = _read_table(path, ("item", "label"), label_set)
-    missing = [item for item in item_ids if item not in by_item]
-    if missing:
-        raise DomainError(f"truth file lacks labels for {len(missing)} items "
-                          f"(first: {missing[0]!r})")
-    truth = labels[list(map(by_item.__getitem__, item_ids))]
-    return truth, len(by_item) - len(item_ids)
+    (items,), _, labels = _read_table(path, ("item", "label"), label_set)
+    by_item = dict(zip(items, range(len(items))))
+    at = np.fromiter(map(by_item.get, item_ids, itertools.repeat(-1)),
+                     np.int64, len(item_ids))
+    missing = np.flatnonzero(at < 0)
+    if missing.size:
+        raise DomainError(f"truth file lacks labels for {missing.size} items "
+                          f"(first: {item_ids[missing[0]]!r})")
+    return labels[at], len(items) - len(item_ids)
 
 
 def subsample_labels(labels: LabelMatrix, keep_prob: float,
@@ -518,6 +676,36 @@ METHODS = {
 KNOWN_METHODS = tuple(METHODS)
 
 
+@contextlib.contextmanager
+def _named(key: str):
+    """Re-raise a DomainError of the block as one of its type whose message
+    starts with ``key``, the input it rejects."""
+    try:
+        yield
+    except DomainError as exc:
+        raise type(exc)(f"{key}: {exc}") from None
+
+
+# Valid values of the sim keys that a trial's models read.
+_SIM_STAND_INS = {"M": 1, "N": 1, "L": 2, "q": 1.0, "beta_tol": 1.0}
+
+
+def _check_sim(sim: dict, swept: str) -> None:
+    """Build the models of an hds-sweep trial once per key of ``sim`` that
+    a trial reads (those of :data:`_SIM_STAND_INS` but the ``swept`` one),
+    with that key's value and the others at their stand-ins, so that a
+    constructor's DomainError names the key."""
+    for key in _SIM_STAND_INS:
+        if key == swept:
+            continue
+        M, N, L, q, tol = {**_SIM_STAND_INS, key: sim[key]}.values()
+        with _named(f"sim.{key}"):
+            check_beta_sampler(M, tol)
+            model = WorkerModel.hds(np.full(M, 0.5), L)
+            SimConfig(M, N, L, Prior.uniform(L), AssignmentModel.constant(q),
+                      model)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A full experiment: scenario, sweep grid, methods and seeding.
@@ -581,6 +769,8 @@ class ExperimentConfig:
                 raise DomainError(f"wbar must lie in (0, 1), got {wbar!r}")
         if self.scenario == "dataset" and self.dataset["path"] is None:
             raise DomainError("the 'dataset' scenario needs dataset.path")
+        if self.scenario == "hds-sweep":
+            _check_sim(self.sim, self.sweep_variable)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -6,6 +6,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from crowdbounds.cli import BOUND_SCENARIOS, main
 from crowdbounds.harness import CONFIG_KEYS, REQUIRED
 
@@ -147,6 +149,37 @@ def test_zero_trials_exit_1_and_name_the_key(tmp_path, capsys):
     code, err = experiment(tmp_path, {**BASE, "trials": 0}, capsys)
     assert code == 1, err
     assert "trials must be at least 1, got 0" in err, err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("M", 0, "at least one worker is required"),
+    ("N", 0, "dimensions must be positive (and classes >= 2)"),
+    ("L", 1, "at least two classes are required"),
+    ("q", 0, "assignment probabilities must lie in (0, 1]"),
+    ("beta_tol", 0, "tolerance must be positive")])
+def test_a_sim_value_the_models_reject_exits_1_and_names_the_key(
+        tmp_path, capsys, key, value, message):
+    config = {**BASE, "sim": {**BASE["sim"], key: value}}
+    assert experiment(tmp_path, config, capsys) == (
+        1, f"error: sim.{key}: {message}\n")
+
+
+def test_a_sim_value_the_sweep_replaces_is_not_checked(tmp_path, capsys):
+    config = {**BASE, "sweep": {"variable": "q", "grid": [0.5]},
+              "sim": {**BASE["sim"], "q": 0}}
+    assert experiment(tmp_path, config, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("scenario, key, value, message", [
+    ("wmv-hds", "L", 1, "at least two classes are required"),
+    ("oswmv", "N", 0, "at least one item is required")])
+def test_a_count_the_bounds_reject_exits_1_and_names_the_key(
+        capsys, scenario, key, value, message):
+    params = {**VALID_PARAMS[scenario], key: value}
+    assert main(["bounds", "--scenario", scenario,
+                 "--params", json.dumps(params)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {scenario!r} --params parameter {key!r}: {message}\n")
 
 
 def test_wbar_outside_the_unit_interval_exits_1(tmp_path, capsys):

@@ -194,6 +194,41 @@ def test_an_error_in_a_later_block_reports_its_absolute_line(tmp_path, kind,
         assert actual[1] == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("repeat", [None, 7, 44])
+def test_byte_and_string_blocks_alternate_and_share_one_key_numbering(
+        monkeypatch, tmp_path, repeat):
+    """Runs of six plain rows alternate with runs of six padded ones, so at
+    a small block size blocks read on their bytes alternate with blocks
+    split into stripped strings. A worker's rows sit in both kinds, and a
+    repeated (worker, item) pair, its first row in a plain run or in a
+    padded one, is found across them: the ids, matrix or error are the row
+    loop's."""
+    rows = [f"w{j % 4},i{j},{1 + j % 3 // 2}" for j in range(60)]
+    rows = [row if j // 6 % 2 else f" {row} " for j, row in enumerate(rows)]
+    if repeat is not None:  # the pair again, spelled as the other run spells it
+        rows.append(rows[repeat].strip() if repeat // 6 % 2 == 0
+                    else f" {rows[repeat]}")
+    path = tmp_path / "labels.csv"
+    path.write_text("worker,item,label\n" + "\n".join(rows) + "\n")
+    plain = []  # per call of the byte reader: whether its block was plain
+    read_bytes = harness._plain_rows
+
+    def counted(*args):
+        block = read_bytes(*args)
+        plain.append(block is not None)
+        return block
+
+    monkeypatch.setattr(harness, "_plain_rows", counted)
+    actual, expected = read(path, "csv-triples", 20)
+    assert actual == expected
+    assert True in plain and False in plain, plain
+    if repeat is None:
+        assert actual[-2] == ["w0", "w1", "w2", "w3"]
+    else:
+        assert actual == (DuplicateLabel, str(DuplicateLabel(
+            f"w{repeat % 4}", f"i{repeat}")))
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 def test_the_writer_s_byte_tests_pass_in_small_chunks(monkeypatch, tmp_path,
                                                       capsys, rows):

@@ -64,8 +64,12 @@ def reference_triples(path, label_set):
 def label_files(draw):
     """A valid labels file as (format, label set, lines, newline).
 
-    Each line is a list of fields; ``None`` is a blank line. Cells may carry
-    surrounding spaces, and the label set may use the +/-1 convention.
+    Each line is a list of fields; ``None`` is a blank line. A third of the
+    files are plain: printable ASCII cells without padding, canonical
+    tokens and no blank line. In the others cells may carry surrounding
+    spaces, tokens may be spelled ``+1`` or ``01``, and keys may be
+    non-ASCII. Keys may be 9 to 20 bytes long, and the label set may use
+    the +/-1 convention.
     """
     fmt = draw(st.sampled_from(["dense-csv", "csv-triples"]))
     binary = draw(st.booleans())
@@ -77,23 +81,34 @@ def label_files(draw):
     if not grid.any():
         grid[draw(st.integers(0, M - 1)), draw(st.integers(0, N - 1))] = 1
     external = label_set.to_external(grid)
-    pad = st.sampled_from(["{}", " {}", "{} ", "  {} "])
+    plain = draw(st.integers(0, 2)) == 0
+    pad = st.just("{}") if plain else st.sampled_from(
+        ["{}", " {}", "{} ", "  {} "])
+    style = draw(st.sampled_from(["{}{}", "{}-{:012d}"]
+                                 + ([] if plain else ["{}é{}"])))
 
     def cell(value):
         return draw(pad).format(value)
 
+    def token(value):
+        if plain:
+            return cell(value)
+        sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+        return cell(sign + draw(st.sampled_from(["", "0"])) + str(abs(value)))
+
     if fmt == "dense-csv":
-        rows = [[cell(v) for v in row] for row in external.tolist()]
+        rows = [[token(v) for v in row] for row in external.tolist()]
     else:
         cells = [(i, j) for i, j in zip(*np.nonzero(grid))]
         order = draw(st.permutations(range(len(cells))))
-        rows = [[cell(f"w{cells[t][0]}"), cell(f"i{cells[t][1]}"),
-                 cell(external[cells[t]])] for t in order]
+        rows = [[cell(style.format("w", cells[t][0])),
+                 cell(style.format("i", cells[t][1])), token(external[cells[t]])]
+                for t in order]
     lines = []
     for row in rows:
-        lines.extend([None] * draw(st.integers(0, 2)))
+        lines.extend([None] * (0 if plain else draw(st.integers(0, 2))))
         lines.append(row)
-    lines.extend([None] * draw(st.integers(0, 1)))
+    lines.extend([None] * (0 if plain else draw(st.integers(0, 1))))
     if fmt == "csv-triples":
         lines.insert(0, [cell("worker"), cell("Item"), cell("label")])
     return fmt, label_set, lines, draw(st.sampled_from(["\n", "\r\n"]))
@@ -268,7 +283,10 @@ def reference_truth(path, label_set, item_ids):
     return truth, len(by_item) - len(item_ids)
 
 
-KEYS = st.sampled_from(["w0", "w1", "7", "a b", "é", "-", ""])
+# Keys a plain file may hold (some of 9 to 20 bytes), then keys that only
+# a padded or non-ASCII file holds.
+PLAIN_KEYS = ["w0", "w1", "7", "-", "", "w-000000001", "annotator_0123456789"]
+KEYS = PLAIN_KEYS + ["a b", "é", "rater-ünïcødé-7", "日本語のキー"]
 HEADERS = {"csv-triples": ["worker", "item", "label"], "truth": ["item", "label"]}
 
 
@@ -281,7 +299,9 @@ def csv_files(draw):
     and headers may be padded, lines may end in LF, CRLF or a lone CR, and
     empty or whitespace-only lines may appear anywhere. A fault is a row
     with a field added or dropped, a label that is not an integer or not in
-    the label set, a repeated key (keyed files) or a bad header.
+    the label set, a repeated key (keyed files) or a bad header. A third of
+    the files are plain but for their faults and header: keys of
+    :data:`PLAIN_KEYS`, canonical tokens, no padding and no empty line.
     """
     kind = draw(st.sampled_from(["dense-csv", "csv-triples", "truth"]))
     binary = draw(st.booleans())
@@ -290,12 +310,17 @@ def csv_files(draw):
     values = label_set.to_external(range(1, L + 1)).tolist()
     if kind == "dense-csv":
         values.append(0)
+    plain = draw(st.integers(0, 2)) == 0
 
     def pad(text):
+        if plain:
+            return text
         return (draw(st.sampled_from(["", " ", "\t", "  "])) + text
                 + draw(st.sampled_from(["", " "])))
 
     def token(value):
+        if plain:
+            return str(value)
         sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
         return pad(sign + draw(st.sampled_from(["", "", "0"])) + str(abs(value)))
 
@@ -304,13 +329,15 @@ def csv_files(draw):
         rows = [[token(draw(st.sampled_from(values))) for _ in range(N)]
                 for _ in range(M)]
     else:
-        keys = st.tuples(KEYS, KEYS) if kind == "csv-triples" else st.tuples(KEYS)
+        key = st.sampled_from(PLAIN_KEYS if plain else KEYS)
+        keys = st.tuples(key, key) if kind == "csv-triples" else st.tuples(key)
         rows = [[pad(key) for key in cell] + [token(draw(st.sampled_from(values)))]
                 for cell in draw(st.lists(keys, unique=True, min_size=1,
                                           max_size=12))]
     item_ids = [row[-2].strip() for row in rows] if kind == "truth" else []
+    faults = ["fields", "unknown"] + ["duplicate"] * 3
     for fault in draw(st.lists(st.sampled_from(
-            ["fields", "integer", "unknown", "blank"] + ["duplicate"] * 3),
+            faults if plain else faults + ["integer", "blank"]),
             max_size=3)):
         if fault in ("fields", "integer", "unknown") and rows:
             row = rows[draw(st.integers(0, len(rows) - 1))]
@@ -336,8 +363,8 @@ def csv_files(draw):
                         [pad(key.strip()) for key in copy[:-1]]
                         + [token(draw(st.sampled_from(values)))])
     lines = [",".join(row) for row in rows]
-    for n in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=4)),
-                    reverse=True):
+    for n in sorted(draw(st.lists(st.integers(0, len(lines)),
+                                  max_size=0 if plain else 4)), reverse=True):
         lines.insert(n, "")
     if kind != "dense-csv":
         header = [pad(name.upper() if draw(st.booleans()) else name)

@@ -324,6 +324,37 @@ class TestBlockDraws:
             assert np.array_equal(got, want)
 
 
+def wanted_cells(kind, total: int) -> np.ndarray:
+    """Ascending cells of a grid of ``total`` cells: none, each block's
+    first and last, a whole block among a few sparse cells, or each cell
+    with the chance ``kind``."""
+    block = simulate._DRAW_BLOCK
+    if kind == "none":
+        return np.empty(0, np.int64)
+    if kind == "block edges":
+        starts = np.arange(0, total, block)
+        return np.unique(np.r_[starts, np.minimum(starts + block, total) - 1])
+    if kind == "dense and sparse blocks":
+        return np.r_[5, 7, np.arange(block, 2 * block), total - 1]
+    return np.flatnonzero(np.random.default_rng(3).random(total) < kind)
+
+
+@pytest.mark.parametrize("shape", [(4, 1 << 16), (3, 50_000)])
+@pytest.mark.parametrize("kind", ["none", "block edges",
+                                  "dense and sparse blocks", 1e-5, 1e-2, 1.0])
+def test_cell_uniforms_are_the_whole_grid_s_where_blocks_are_skipped(shape,
+                                                                     kind):
+    """A block with few wanted cells is advanced through cell by cell, an
+    empty one at once: the uniforms are those of the whole grid drawn, and
+    the generator ends where drawing the whole grid leaves it."""
+    total = shape[0] * shape[1]
+    cells = wanted_cells(kind, total)
+    rng, whole = derive_rng(21, "cells"), derive_rng(21, "cells")
+    assert np.array_equal(simulate.cell_uniforms(rng, cells, shape),
+                          whole.random(total)[cells])
+    assert rng.random() == whole.random()
+
+
 def test_samplers_hold_one_block_of_uniforms():
     """At 500 x 20,000 cells (q = 0.01), neither sampler holds a whole grid
     of uniforms (80 MB)."""
