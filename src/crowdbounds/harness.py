@@ -203,19 +203,20 @@ def _token_codes(data, at, starts, stops, tables):
         found = by_byte[data[starts]]
     elif lengths.max() < 8:  # one word each
         packed = _pack(at, starts, stops)
-        at = np.minimum(np.searchsorted(words, packed), words.size - 1)
-        found = np.where(words[at] == packed, codes[at], -1)
+        k = np.minimum(np.searchsorted(words, packed), words.size - 1)
+        found = np.where(words[k] == packed, codes[k], -1)
     else:
         return None
     return found if (found >= 0).all() else None
 
 
 def _plain_rows(raw: bytes, data, ends, commas, start, width, keyed, tables):
-    """The key words (per key column) and label codes of the rows of a
-    block, ``raw`` (``data``: its bytes, with line ``ends`` and ``commas``),
-    read on its bytes from line ``start`` on, where no line is empty and
-    each has ``width`` fields; None unless every byte of those lines is
-    :data:`_PLAIN` and every label token is in ``tables``."""
+    """Read the rows of a block on its bytes: the key words of each key
+    column, then the label codes. ``raw`` is the block, ``data`` its bytes,
+    ``ends`` and ``commas`` their positions; the rows are the lines from
+    ``start`` on, none empty and each of ``width`` fields. None unless every
+    byte of the rows is :data:`_PLAIN` and every label token is in
+    ``tables``."""
     begin = int(ends[start - 1]) + 1 if start else 0
     if not _PLAIN[data[begin:]].all():
         return None
@@ -269,10 +270,12 @@ def _read_table(path, header: tuple, label_set: LabelSet):
     (:func:`_plain_rows`); any other block is split into stripped strings.
     Either way a block adds its rows' keys as :func:`_pack` words and its
     classes as int64, and only these arrays are kept; one :func:`_intern`
-    pass per key column, at the end of the file, numbers the keys. Reading
-    stops at the first faulty block, and the error raised is the first
-    faulty line's, as a line-by-line reader finds it: a repeated key before
-    that line, else its quote or field count, else its label.
+    pass per key column, at the end of the file, numbers the keys. So the
+    ids, arrays, errors and lines do not depend on which blocks were plain.
+    Reading stops at the first faulty block, which is never plain, and the
+    error raised is the first faulty line's, as a line-by-line reader finds
+    it: a repeated key before that line, else its quote or field count,
+    else its label.
     """
     classes = range(1, label_set.num_classes + 1)
     class_of = dict(zip(label_set.to_external(classes).tolist(), classes))
@@ -676,16 +679,6 @@ METHODS = {
 KNOWN_METHODS = tuple(METHODS)
 
 
-@contextlib.contextmanager
-def _named(key: str):
-    """Re-raise a DomainError of the block as one of its type whose message
-    starts with ``key``, the input it rejects."""
-    try:
-        yield
-    except DomainError as exc:
-        raise type(exc)(f"{key}: {exc}") from None
-
-
 # Valid values of the sim keys that a trial's models read.
 _SIM_STAND_INS = {"M": 1, "N": 1, "L": 2, "q": 1.0, "beta_tol": 1.0}
 
@@ -693,17 +686,19 @@ _SIM_STAND_INS = {"M": 1, "N": 1, "L": 2, "q": 1.0, "beta_tol": 1.0}
 def _check_sim(sim: dict, swept: str) -> None:
     """Build the models of an hds-sweep trial once per key of ``sim`` that
     a trial reads (those of :data:`_SIM_STAND_INS` but the ``swept`` one),
-    with that key's value and the others at their stand-ins, so that a
-    constructor's DomainError names the key."""
+    with that key's value and the others at their stand-ins, and re-raise a
+    constructor's DomainError with the key in front of its message."""
     for key in _SIM_STAND_INS:
         if key == swept:
             continue
         M, N, L, q, tol = {**_SIM_STAND_INS, key: sim[key]}.values()
-        with _named(f"sim.{key}"):
+        try:
             check_beta_sampler(M, tol)
             model = WorkerModel.hds(np.full(M, 0.5), L)
             SimConfig(M, N, L, Prior.uniform(L), AssignmentModel.constant(q),
                       model)
+        except DomainError as exc:
+            raise type(exc)(f"sim.{key}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -76,26 +76,27 @@ def cell_uniforms(rng: np.random.Generator, cells: np.ndarray,
     """The uniforms of the ascending flat ``cells`` of one grid of ``shape``.
 
     The grid's uniforms are one stream in C order (:func:`_uniform_blocks`),
-    and PCG64 spends one 64-bit output on each, so cell c's is the c-th
-    draw. A block of :data:`_DRAW_BLOCK` draws that holds few of ``cells``
+    and PCG64 (the bit generator of :func:`derive_rng`, which ``rng`` must
+    have) spends one 64-bit output on each, so cell c's is the c-th draw. A block of :data:`_DRAW_BLOCK` draws that holds few of ``cells``
     is not drawn: the generator advances to each of its cells and draws that
     one. Either way the generator ends where drawing the whole grid leaves
     it, with the same numbers."""
     out = np.empty(cells.size)
     bits, drawn, total = rng.bit_generator, 0, shape[0] * shape[1]
-    blocks = cells // _DRAW_BLOCK
-    edges = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist()
-    for lo, hi in zip(edges, [*edges[1:], cells.size]):
-        first = int(blocks[lo]) * _DRAW_BLOCK
+    lo = 0
+    while lo < cells.size:  # a block that holds cells[lo:hi]
+        first = int(cells[lo]) // _DRAW_BLOCK * _DRAW_BLOCK
         size = min(_DRAW_BLOCK, total - first)
+        hi = int(np.searchsorted(cells, first + size))
         if (hi - lo) * _ADVANCE_DRAWS > size:
             bits.advance(first - drawn)
             out[lo:hi] = rng.random(size)[cells[lo:hi] - first]
             drawn = first + size
-            continue
-        for k, cell in enumerate(cells[lo:hi].tolist(), lo):
-            bits.advance(cell - drawn)
-            out[k], drawn = rng.random(), cell + 1
+        else:
+            for k, cell in enumerate(cells[lo:hi].tolist(), lo):
+                bits.advance(cell - drawn)
+                out[k], drawn = rng.random(), cell + 1
+        lo = hi
     bits.advance(total - drawn)
     return out
 
