@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import json
 import math
 import numbers
@@ -146,12 +145,13 @@ def _pack_text(keys: list) -> np.ndarray:
 
 def _intern(words: np.ndarray):
     """Number the keys that :func:`_pack` packed into ``words`` in order of
-    first appearance: each key's number, and the keys in that order.
+    first appearance: each key's number, and the keys' words in that
+    order.
 
     Keys of one length in words are sorted together, by all their words, so
     that a long key costs only its own words."""
-    end = words.view(np.uint8)[7::8] == 0  # a key's last word
-    spans = np.diff(np.flatnonzero(end), prepend=-1)
+    spans = np.diff(np.flatnonzero(words.view(np.uint8)[7::8] == 0),
+                    prepend=-1)  # each key's words
     group = np.empty(spans.size, np.int64)  # each key's, numbered by length
     first = [np.empty(0, np.int64)]  # each group's first key
     for span in np.flatnonzero(np.bincount(spans)):
@@ -168,14 +168,17 @@ def _intern(words: np.ndarray):
     first = np.concatenate(first)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
-    # The first keys' words, back to UTF-8 with a line end for the last
-    # byte of each key's last word; the other padding complements to 0xFF.
     chosen = np.zeros(spans.size, bool)
     chosen[first] = True
-    kept = np.repeat(chosen, spans)
-    text = ~words[kept].view(np.uint8).reshape(-1, 8)
-    text[end[kept], 7] = ord("\n")
-    return rank[group], text[text != 0xFF].tobytes().decode().split("\n")[:-1]
+    return rank[group], words[np.repeat(chosen, spans)]
+
+
+def _unpack(words: np.ndarray) -> list[str]:
+    """The strings that :func:`_pack` packed into ``words``."""
+    text = ~words.view(np.uint8).reshape(-1, 8)
+    # A string's bytes are never 0xFF; its last word ends in padding.
+    text[text[:, 7] == 0xFF, 7] = ord("\n")
+    return text[text != 0xFF].tobytes().decode().split("\n")[:-1]
 
 
 def _token_tables(by_token: dict):
@@ -250,8 +253,9 @@ def _read_table(path, header: tuple, label_set: LabelSet):
 
     A keyed file starts with the line ``header`` (``worker,item,label`` or
     ``item,label``); each row holds key fields and one label. It comes back
-    as, per key column, the stripped keys in order of first appearance,
-    then the rows' key positions and the labels' internal classes, sorted by
+    as, per key column, the stripped keys in order of first appearance, as
+    :func:`_pack` words (:func:`_unpack` gives the strings), then the rows'
+    key positions and the labels' internal classes, sorted by
     key (the first column first, stably); no two rows may share every key.
     A dense grid (``header=()``) has neither: every field is a label, 0
     marks a missing one, and the classes come back as a (rows, width) array.
@@ -355,28 +359,30 @@ def _read_table(path, header: tuple, label_set: LabelSet):
                 break
     if header and not lines_read:
         raise EmptyMatrix(f"{path} is empty")
-    ids = []
+    keys = []  # per key column, its keys' words in order of first appearance
     for c, column in enumerate(columns):  # one column's blocks at a time
         columns[c] = np.concatenate(column)
         if c < len(header) - 1:
-            columns[c], column_ids = _intern(columns[c])
-            ids.append(column_ids)
-    *keys, classes = columns
+            columns[c], column_keys = _intern(columns[c])
+            keys.append(column_keys)
+    *numbers, classes = columns
     if not header:
         if error:
             raise error
         return [], [], classes.reshape(-1, width or 1)
-    cell = np.ravel_multi_index(keys, [len(column) for column in ids])
+    cell = np.ravel_multi_index(numbers, [number.max(initial=-1) + 1
+                                          for number in numbers])
     order = np.argsort(cell, kind="stable")
     repeats = order[1:][np.diff(cell[order]) == 0]
     if repeats.size:
         row = repeats.min()
-        names = [column[key[row]] for column, key in zip(ids, keys)]
+        names = [_unpack(column)[number[row]]
+                 for column, number in zip(keys, numbers)]
         # A truth file's repeated item is reported for the worker "<truth>".
         raise DuplicateLabel(*["<truth>", *names][-2:])
     if error:
         raise error
-    return ids, [key[order] for key in keys], classes[order]
+    return keys, [key[order] for key in numbers], classes[order]
 
 
 def load_labels(path, fmt: str = "csv-triples", *, label_set: LabelSet):
@@ -399,10 +405,11 @@ def load_labels(path, fmt: str = "csv-triples", *, label_set: LabelSet):
         labels = LabelMatrix.from_dense(grid, label_set.num_classes)
         return (labels, [str(i) for i in range(labels.num_workers)],
                 [str(j) for j in range(labels.num_items)])
-    (worker_ids, item_ids), (workers, items), values = _read_table(
+    keys, (workers, items), values = _read_table(
         path, ("worker", "item", "label"), label_set)
     if not values.size:
         raise EmptyMatrix(f"{path} contains no labels")
+    worker_ids, item_ids = map(_unpack, keys)
     labels = LabelMatrix(workers, items, values, len(worker_ids),
                          len(item_ids), label_set.num_classes)
     return labels, worker_ids, item_ids
@@ -416,15 +423,18 @@ def load_truth(path, label_set: LabelSet,
     whose item is not among them (an item nobody labelled), which callers
     report rather than drop silently.
     """
-    (items,), _, labels = _read_table(path, ("item", "label"), label_set)
-    by_item = dict(zip(items, range(len(items))))
-    at = np.fromiter(map(by_item.get, item_ids, itertools.repeat(-1)),
-                     np.int64, len(item_ids))
-    missing = np.flatnonzero(at < 0)
+    (keys,), _, labels = _read_table(path, ("item", "label"), label_set)
+    ids = item_ids  # no key holds a line break, nor a comma
+    if "\n" in "".join(ids):
+        ids = ["," if "\n" in item else item for item in ids]
+    # Number the truth's keys, then the ids', together: the truth's are
+    # its rows, and an id numbered past them is not in the truth file.
+    at = _intern(np.concatenate((keys, _pack_text(ids))))[0][labels.size:]
+    missing = np.flatnonzero(at >= labels.size)
     if missing.size:
         raise DomainError(f"truth file lacks labels for {missing.size} items "
                           f"(first: {item_ids[missing[0]]!r})")
-    return labels[at], len(items) - len(item_ids)
+    return labels[at], labels.size - len(item_ids)
 
 
 def subsample_labels(labels: LabelMatrix, keep_prob: float,

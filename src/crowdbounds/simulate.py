@@ -77,10 +77,11 @@ def cell_uniforms(rng: np.random.Generator, cells: np.ndarray,
 
     The grid's uniforms are one stream in C order (:func:`_uniform_blocks`),
     and PCG64 (the bit generator of :func:`derive_rng`, which ``rng`` must
-    have) spends one 64-bit output on each, so cell c's is the c-th draw. A block of :data:`_DRAW_BLOCK` draws that holds few of ``cells``
-    is not drawn: the generator advances to each of its cells and draws that
-    one. Either way the generator ends where drawing the whole grid leaves
-    it, with the same numbers."""
+    have) spends one 64-bit output on each, so cell c's is the c-th draw.
+    A block of :data:`_DRAW_BLOCK` draws that holds few of ``cells`` is not
+    drawn: the generator advances to each of its cells and draws that one.
+    Either way the generator ends where drawing the whole grid leaves it,
+    with the same numbers."""
     out = np.empty(cells.size)
     bits, drawn, total = rng.bit_generator, 0, shape[0] * shape[1]
     lo = 0

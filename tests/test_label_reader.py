@@ -412,6 +412,15 @@ def test_the_reader_gives_the_csv_row_loop_s_ids_matrices_and_errors(
     assert actual == expected
 
 
+def test_an_id_with_a_line_break_is_missing_from_any_truth_file(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text("item,label\ni1,1\na,2\n")
+    for item_ids in (["i1", "a\nb"], ["a\nb", "i1", "x"]):
+        assert outcome(load_truth, path, LabelSet(2), item_ids) == outcome(
+            reference_truth, path, LabelSet(2), item_ids)
+    assert load_truth(path, LabelSet(2), ["a", "i1"])[0].tolist() == [2, 1]
+
+
 QUOTED = "quoted fields are not supported"
 
 
