@@ -5,10 +5,10 @@ expected text.
 Each case in :data:`CASES` is one experiment config. Its expected ``.csv``
 and ``.jsonl`` text, after the timestamp line, is stored next to this file
 as ``<case>.csv`` and ``<case>.jsonl``. Each case in :data:`CLI_CASES` is
-one command line, run in process through ``cli.main``; its stdout is stored
-as ``<case>.json`` and the text of each file it writes under the suffix
-that :data:`OUT_FLAGS` gives the file's flag (``aggregate --out`` as
-``<case>.csv``). Text is read with universal newlines, so a stored file has
+one command line, run in process through ``cli.main``; the text of each
+file it writes, and of its stdout, is stored under the suffix that
+:data:`OUTPUTS` gives (``aggregate --out`` as ``<case>.csv``, its stdout as
+``<case>.json``). Text is read with universal newlines, so a stored file has
 LF line ends where the written one has CRLF. The label
 files the cases read are stored here as well, and ``versions.json`` records
 the numpy and Python that wrote the corpus. ``tests/test_golden.py`` reruns
@@ -111,10 +111,12 @@ CLI_CASES |= {
     "simulate_3class": [*SIMULATE, "--classes", "3"],
     "simulate_binary": [*SIMULATE, "--binary"],
 }
-# The file a command writes for each flag, by the suffix its text is stored
-# under.
-OUT_FLAGS = {"aggregate": {"--out": ".csv"}, "summarize": {},
-             "simulate": {"--out-labels": ".csv", "--out-truth": "_truth.csv"}}
+# The suffix each command's outputs are stored under: the file of each flag,
+# and stdout. Simulate's stdout (its label count and mean accuracy) is left
+# out, as its label file already pins the draws.
+OUTPUTS = {"aggregate": {"--out": ".csv", "stdout": ".json"},
+           "summarize": {"stdout": ".json"},
+           "simulate": {"--out-labels": ".csv", "--out-truth": "_truth.csv"}}
 
 
 def write_inputs() -> None:
@@ -143,20 +145,22 @@ def write_inputs() -> None:
 
 
 def run_cli_case(name: str, workdir: Path) -> dict[str, str]:
-    """The stdout and the written files' text of CLI case ``name``, by
-    suffix."""
+    """The text of CLI case ``name``'s stored outputs, by suffix."""
     argv = [str(GOLDEN / arg) if arg in (DENSE, TRIPLES, TRUTH) else arg
             for arg in CLI_CASES[name]]
-    outs = {suffix: workdir / f"{name}{suffix}"
-            for suffix in OUT_FLAGS[argv[0]].values()}
-    for flag, suffix in OUT_FLAGS[argv[0]].items():
-        argv += [flag, str(outs[suffix])]
+    outputs = dict(OUTPUTS[argv[0]])
+    stdout_suffix = outputs.pop("stdout", None)
+    for flag, suffix in outputs.items():
+        argv += [flag, str(workdir / f"{name}{suffix}")]
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = cli_main(argv)
     if code:
         raise RuntimeError(f"{name} exited with {code}")
-    return {**{suffix: out.read_text() for suffix, out in outs.items()},
-            ".json": stdout.getvalue()}
+    texts = {suffix: (workdir / f"{name}{suffix}").read_text()
+             for suffix in outputs.values()}
+    if stdout_suffix:
+        texts[stdout_suffix] = stdout.getvalue()
+    return texts
 
 
 def run_case(name: str, workdir: Path) -> dict[str, str]:
