@@ -1,14 +1,15 @@
 """The golden corpus of ``run_experiment`` and the ``crowdbounds aggregate``,
-``summarize`` and ``simulate`` commands: configs, command lines, inputs and
-expected text.
+``summarize``, ``bounds`` and ``simulate`` commands: configs, command lines,
+inputs and expected text.
 
 Each case in :data:`CASES` is one experiment config. Its expected ``.csv``
 and ``.jsonl`` text, after the timestamp line, is stored next to this file
 as ``<case>.csv`` and ``<case>.jsonl``. Each case in :data:`CLI_CASES` is
 one command line, run in process through ``cli.main``; the text of each
-file it writes, and of its stdout, is stored under the suffix that
-:data:`OUTPUTS` gives (``aggregate --out`` as ``<case>.csv``, its stdout as
-``<case>.json``). Text is read with universal newlines, so a stored file has
+file it writes is stored under the suffix that :data:`OUTPUTS` gives
+(``aggregate --out`` as ``<case>.csv``), and the text of its stdout in
+``stdout.json``, keyed by case (one file, since each file on disk costs a
+block). Text is read with universal newlines, so a stored file has
 LF line ends where the written one has CRLF. The label
 files the cases read are stored here as well, and ``versions.json`` records
 the numpy and Python that wrote the corpus. ``tests/test_golden.py`` reruns
@@ -111,12 +112,41 @@ CLI_CASES |= {
     "simulate_3class": [*SIMULATE, "--classes", "3"],
     "simulate_binary": [*SIMULATE, "--binary"],
 }
-# The suffix each command's outputs are stored under: the file of each flag,
-# and stdout. Simulate's stdout (its label count and mean accuracy) is left
-# out, as its label file already pins the draws.
-OUTPUTS = {"aggregate": {"--out": ".csv", "stdout": ".json"},
-           "summarize": {"stdout": ".json"},
-           "simulate": {"--out-labels": ".csv", "--out-truth": "_truth.csv"}}
+# Every bounds scenario: wmv-hds, oswmv and general with README's params,
+# hyperplane and mv-hds with tests/test_config.py's; the three with a
+# high-probability form also with --epsilon and an item count.
+BOUND_PARAMS = {
+    "wmv-hds": {"q": 1.0, "weights": [1, 1], "accuracies": [0.8, 0.6],
+                "L": 2},
+    "hyperplane": {"q": [1, 1], "weights": [1, 1], "shift": 0.2,
+                   "p_plus": [0.8, 0.7], "p_minus": [0.6, 0.9], "N": 100},
+    "mv-hds": {"q": 1.0, "mean_accuracy": 0.7, "M": 10, "L": 2},
+    "oswmv": {"accuracies": [0.9] * 8, "N": 500},
+    "general": {"scores": [[[0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]]],
+                "shifts": [0, 0], "assignment": 1.0,
+                "tables": [[[0.8, 0.2], [0.2, 0.8]], [[0.6, 0.4], [0.4, 0.6]]],
+                "N": 200},
+}
+CLI_CASES |= {
+    f"bounds_{scenario}": ["bounds", "--scenario", scenario,
+                           "--params", json.dumps(params)]
+    for scenario, params in BOUND_PARAMS.items()
+}
+CLI_CASES |= {
+    f"bounds_{scenario}_epsilon": [
+        "bounds", "--scenario", scenario, "--epsilon", "0.1",
+        "--params", json.dumps({"N": 200, **BOUND_PARAMS[scenario]})]
+    for scenario in ("wmv-hds", "hyperplane", "general")
+}
+# The suffix each command's output files are stored under, by flag, and
+# whether its stdout is stored. Simulate's stdout (its label count and mean
+# accuracy) is left out, as its label file already pins the draws.
+OUTPUTS = {"aggregate": ({"--out": ".csv"}, True),
+           "summarize": ({}, True),
+           "bounds": ({}, True),
+           "simulate": ({"--out-labels": ".csv", "--out-truth": "_truth.csv"},
+                        False)}
+STDOUT = GOLDEN / "stdout.json"
 
 
 def write_inputs() -> None:
@@ -145,21 +175,21 @@ def write_inputs() -> None:
 
 
 def run_cli_case(name: str, workdir: Path) -> dict[str, str]:
-    """The text of CLI case ``name``'s stored outputs, by suffix."""
+    """The text of CLI case ``name``'s stored outputs, by file suffix, and
+    its stdout under ``"stdout"``."""
     argv = [str(GOLDEN / arg) if arg in (DENSE, TRIPLES, TRUTH) else arg
             for arg in CLI_CASES[name]]
-    outputs = dict(OUTPUTS[argv[0]])
-    stdout_suffix = outputs.pop("stdout", None)
-    for flag, suffix in outputs.items():
+    files, keep_stdout = OUTPUTS[argv[0]]
+    for flag, suffix in files.items():
         argv += [flag, str(workdir / f"{name}{suffix}")]
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = cli_main(argv)
     if code:
         raise RuntimeError(f"{name} exited with {code}")
     texts = {suffix: (workdir / f"{name}{suffix}").read_text()
-             for suffix in outputs.values()}
-    if stdout_suffix:
-        texts[stdout_suffix] = stdout.getvalue()
+             for suffix in files.values()}
+    if keep_stdout:
+        texts["stdout"] = stdout.getvalue()
     return texts
 
 
@@ -180,6 +210,14 @@ def run_case(name: str, workdir: Path) -> dict[str, str]:
             for suffix in (".csv", ".jsonl")}
 
 
+def stored_text(name: str, key: str) -> str:
+    """The stored text of case ``name``'s output ``key``: a file suffix, or
+    ``"stdout"``."""
+    if key == "stdout":
+        return json.loads(STDOUT.read_text())[name]
+    return (GOLDEN / f"{name}{key}").read_text()
+
+
 def versions() -> dict[str, str]:
     return {"numpy": np.__version__, "python": platform.python_version()}
 
@@ -193,16 +231,19 @@ def main(argv=None) -> int:
         write_inputs()
         (GOLDEN / "versions.json").write_text(
             json.dumps(versions(), indent=1) + "\n")
-    differing = 0
+    differing, stdouts = 0, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in [*CASES, *CLI_CASES]:
-            for suffix, text in run_case(name, Path(tmp)).items():
-                path = GOLDEN / f"{name}{suffix}"
-                if args.write:
-                    path.write_text(text)
-                elif path.read_text() != text:
+            for key, text in run_case(name, Path(tmp)).items():
+                if args.write and key == "stdout":
+                    stdouts[name] = text
+                elif args.write:
+                    (GOLDEN / f"{name}{key}").write_text(text)
+                elif stored_text(name, key) != text:
                     differing += 1
-                    print(f"{path.name} differs")
+                    print(f"{name} {key} differs")
+    if args.write:
+        STDOUT.write_text(json.dumps(stdouts, indent=1, sort_keys=True) + "\n")
     return 1 if differing else 0
 
 

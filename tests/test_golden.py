@@ -21,8 +21,8 @@ _spec.loader.exec_module(make)
 @pytest.mark.parametrize("name", sorted([*make.CASES, *make.CLI_CASES]))
 def test_case_writes_the_stored_text(name, tmp_path):
     recorded = json.loads((GOLDEN / "versions.json").read_text())
-    for suffix, text in make.run_case(name, tmp_path).items():
-        expected = (GOLDEN / f"{name}{suffix}").read_text()
+    for key, text in make.run_case(name, tmp_path).items():
+        expected = make.stored_text(name, key)
         if text == expected:
             continue
         got_lines, want_lines = text.splitlines(), expected.splitlines()
@@ -30,7 +30,7 @@ def test_case_writes_the_stored_text(name, tmp_path):
             zip(got_lines, want_lines)) if got != want),
             min(len(got_lines), len(want_lines)))
         pytest.fail(
-            f"{name}{suffix} differs from line {line + 2} (the stamp line is "
+            f"{name} {key} differs from line {line + 2} (the stamp line is "
             f"line 1):\n  got:  {got_lines[line:line + 1]}\n  want: "
             f"{want_lines[line:line + 1]}\nThe corpus was written with "
             f"{recorded}; this run has {make.versions()}. Dot products go "
