@@ -175,10 +175,10 @@ def _cmd_bounds(args) -> int:
         if params.get(key) is not None and params[key] < least:
             raise DomainError(f"{scenario!r} --params parameter {key!r}: "
                               f"{message}")
+    quantities = None  # gap quantities, which --epsilon needs
     if scenario == "wmv-hds":
         quantities = bnd.quantities_wmv_hds(
             params["q"], params["weights"], params["accuracies"], params["L"])
-        report = bnd.mean_error_bounds(quantities)
     elif scenario == "mv-hds":
         report = bnd.mv_bounds_hds(params["q"], params["mean_accuracy"],
                                    params["M"], params["L"])
@@ -186,7 +186,6 @@ def _cmd_bounds(args) -> int:
         quantities = bnd.quantities_hyperplane(
             params["q"], params["weights"], params["shift"],
             params["p_plus"], params["p_minus"])
-        report = bnd.mean_error_bounds(quantities)
     elif scenario == "oswmv":
         report = bnd.one_step_wmv_bound(params["accuracies"], params["N"])
     else:
@@ -195,10 +194,11 @@ def _cmd_bounds(args) -> int:
                                      params["assignment"])
         model = WorkerModel.gds(np.asarray(params["tables"], dtype=float))
         quantities = bnd.score_quantities(rule, assignment, model)
+    if quantities is not None:
         report = bnd.mean_error_bounds(quantities)
     extra = {}
     if args.epsilon is not None:
-        if scenario in ("mv-hds", "oswmv"):
+        if quantities is None:
             raise UsageError(f"--epsilon is not available for the {scenario!r} "
                              f"scenario")
         if params["N"] is None:
@@ -258,15 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-truth", default=None)
     sim.set_defaults(func=_cmd_simulate)
 
-    agg = sub.add_parser("aggregate", help="aggregate a labels file")
+    # The label input of aggregate and summarize.
+    label_input = argparse.ArgumentParser(add_help=False)
+    label_input.add_argument("--in", dest="infile", required=True)
+    label_input.add_argument("--truth", default=None)
+    label_input.add_argument("--classes", type=int, default=2)
+    label_input.add_argument("--binary", action="store_true")
+    label_input.add_argument("--format", default="csv-triples",
+                             choices=LABEL_FORMATS)
+
+    agg = sub.add_parser("aggregate", parents=[label_input],
+                         help="aggregate a labels file")
     agg.add_argument("--method", required=True,
                      choices=[name for name, method in METHODS.items()
                               if not method.needs_model])
-    agg.add_argument("--in", dest="infile", required=True)
-    agg.add_argument("--truth", default=None)
-    agg.add_argument("--classes", type=int, default=2)
-    agg.add_argument("--binary", action="store_true")
-    agg.add_argument("--format", default="csv-triples", choices=LABEL_FORMATS)
     agg.add_argument("--out", default=None)
     agg.set_defaults(func=_cmd_aggregate)
 
@@ -284,12 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output stem; replaces the config's 'output'")
     exp.set_defaults(func=_cmd_experiment)
 
-    summ = sub.add_parser("summarize", help="summarize a labels file")
-    summ.add_argument("--in", dest="infile", required=True)
-    summ.add_argument("--truth", default=None)
-    summ.add_argument("--classes", type=int, default=2)
-    summ.add_argument("--binary", action="store_true")
-    summ.add_argument("--format", default="csv-triples", choices=LABEL_FORMATS)
+    summ = sub.add_parser("summarize", parents=[label_input],
+                          help="summarize a labels file")
     summ.add_argument("--subsample", type=float, default=None)
     summ.add_argument("--seed", type=_seed, default=0)
     summ.set_defaults(func=_cmd_summarize)

@@ -83,13 +83,10 @@ def _check_init(labels: LabelMatrix, config: EmConfig) -> None:
 def _confusion_tables(sums: np.ndarray) -> np.ndarray:
     """(M, L, L) confusion tables from :meth:`LabelMatrix.worker_sums` of
     posterior rows: entry ``[i, k, h - 1]`` is ``sums[i, h - 1, k]`` over
-    its total across ``h``. A row with no mass keeps 1/L. Each total adds
-    its L terms in order, as numpy's sum over that axis does."""
+    its total across ``h`` (:func:`row_sum`). A row with no mass keeps
+    1/L."""
     M, L = sums.shape[:2]
-    total = sums[:, 0].copy()
-    for h in range(1, L):
-        total += sums[:, h]
-    total = total[:, :, None]
+    total = row_sum(sums)[:, :, None]
     return np.divide(sums.transpose(0, 2, 1), total,
                      out=np.full((M, L, L), 1.0 / L), where=total > 0)
 

@@ -225,12 +225,6 @@ def _plain_rows(raw: bytes, data, ends, commas, start, width, keyed, tables):
         return None
     lines = ends[start:]
     rows = lines.size
-    if not keyed and data.size - begin == 2 * width * rows:
-        # Rows of 2 * width bytes: one-byte tokens and their separators.
-        grid = data[begin:].reshape(rows, 2 * width)
-        if (grid[:, -1] == ord("\n")).all():
-            codes = tables[0][grid[:, ::2]]
-            return [codes.ravel()] if (codes >= 0).all() else None
     # Each field lies between two cuts: a comma or a line end.
     cuts = np.empty((rows, width + 1), np.int64)
     cuts[0, 0] = begin - 1
@@ -1039,16 +1033,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_results(rows: list[ResultRow], stem: str) -> tuple[str, str]:
     """Write ``<stem>.csv`` and ``<stem>.jsonl``.
 
@@ -1062,9 +1046,10 @@ def write_results(rows: list[ResultRow], stem: str) -> tuple[str, str]:
         handle.write(f"# generated_at={stamp}\n")
         writer = csv.writer(handle)
         writer.writerow(RESULT_COLUMNS)
+        # csv writes None as empty and a float as its repr.
         for row in rows:
-            writer.writerow([_format_cell(value)
-                             for value in row.to_dict().values()])
+            writer.writerow([str(value).lower() if isinstance(value, bool)
+                             else value for value in row.to_dict().values()])
     with open(jsonl_path, "w") as handle:
         handle.write(json.dumps({"_meta": {"generated_at": stamp}}) + "\n")
         for row in rows:
