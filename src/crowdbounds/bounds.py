@@ -73,6 +73,10 @@ class ScoreQuantities:
     sigma_sq: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.score_norm) and np.isfinite(self.tau_min).all()
+                and np.isfinite(self.tau_max).all()):
+            raise DomainError("the normalised score gaps are not finite: the "
+                              "rule's scores or shifts overflow a float")
         if not self.score_norm > 0:
             raise DomainError("score normalisation must be positive")
         if not 0 < self.c <= 1 + 1e-12:
@@ -163,6 +167,17 @@ def score_quantities(rule: DecomposableRule, assignment: AssignmentModel,
                            normalized.max(axis=1), c, sigma_sq)
 
 
+def _weight_norm(weights: np.ndarray) -> float:
+    """The Euclidean norm of a weight vector, as :func:`numpy.linalg.norm`
+    gives it; its square must be positive and finite."""
+    square = float(weights.dot(weights))
+    if square == 0:
+        raise DomainError("an all-zero weight vector has no normalised gap")
+    if not math.isfinite(square):
+        raise DomainError("the squared norm of the weights overflows a float")
+    return math.sqrt(square)
+
+
 def quantities_wmv_hds(q: float, weights, accuracies,
                        num_classes: int) -> ScoreQuantities:
     """Closed-form quantities for weighted voting, single-accuracy workers
@@ -180,9 +195,7 @@ def quantities_wmv_hds(q: float, weights, accuracies,
     accuracies = check_accuracies(accuracies)
     if weights.shape != accuracies.shape or weights.ndim != 1:
         raise DimensionMismatch("weights and accuracies must be equal-length vectors")
-    norm = float(np.linalg.norm(weights))
-    if norm == 0:
-        raise DomainError("an all-zero weight vector has no normalised gap")
+    norm = _weight_norm(weights)
     L = num_classes
     gap = q * float(weights @ (L * accuracies - 1.0)) / (L - 1)
     t = gap / norm
@@ -208,9 +221,7 @@ def quantities_hyperplane(q_vec, weights, shift, p_plus, p_minus) -> ScoreQuanti
         raise DomainError("assignment probability must lie in (0, 1]")
     check_accuracies(p_plus)
     check_accuracies(p_minus)
-    norm = float(np.linalg.norm(weights))
-    if norm == 0:
-        raise DomainError("an all-zero weight vector has no normalised gap")
+    norm = _weight_norm(weights)
     gap_pos = float(q_vec @ (weights * (2 * p_plus - 1))) + shift
     gap_neg = float(q_vec @ (weights * (2 * p_minus - 1))) - shift
     gaps = np.array([[[0.0, gap_pos], [gap_neg, 0.0]]])

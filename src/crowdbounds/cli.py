@@ -161,18 +161,23 @@ BOUND_SCENARIOS = {
 
 
 # The counts of ``--params`` that the bound calculators check: key, least
-# value, and the calculators' message.
-_COUNTS = (("M", 1, "at least one worker is required"),
-           ("N", 1, "at least one item is required"),
-           ("L", 2, "at least two classes are required"))
+# value and the calculators' message, and the most they compute with: a
+# float holds every count up to 2**53, and L**2 broadcast gaps index with
+# int64.
+_COUNTS = (("M", 1, "at least one worker is required", 2 ** 53),
+           ("N", 1, "at least one item is required", 2 ** 53),
+           ("L", 2, "at least two classes are required", 2 ** 31))
 
 
 def _cmd_bounds(args) -> int:
     scenario = args.scenario
     params = check_json(f"{scenario!r} --params", json.loads(args.params),
                         "object", BOUND_SCENARIOS[scenario], "parameter {!r}")
-    for key, least, message in _COUNTS:
-        if params.get(key) is not None and params[key] < least:
+    for key, least, message, most in _COUNTS:
+        value = params.get(key)
+        if value is not None and value > most:
+            message = f"must be at most {most}, got {value}"
+        if value is not None and not least <= value <= most:
             raise DomainError(f"{scenario!r} --params parameter {key!r}: "
                               f"{message}")
     quantities = None  # gap quantities, which --epsilon needs

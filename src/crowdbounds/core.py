@@ -420,12 +420,12 @@ class WorkerModel:
     @classmethod
     def gds(cls, tables) -> "WorkerModel":
         tables = np.asarray(tables, dtype=float)
-        return cls("gds", tables, tables.shape[-1])
+        return cls("gds", tables, tables.shape[-1] if tables.ndim else 0)
 
     @classmethod
     def sds(cls, per_class_accuracies) -> "WorkerModel":
         acc = np.asarray(per_class_accuracies, dtype=float)
-        return cls("sds", acc, acc.shape[-1])
+        return cls("sds", acc, acc.shape[-1] if acc.ndim else 0)
 
     @classmethod
     def hds(cls, accuracies, num_classes: int) -> "WorkerModel":

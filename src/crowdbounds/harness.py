@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 import warnings
 from collections.abc import Callable
@@ -58,6 +59,7 @@ from .simulate import (
     SimConfig,
     cell_uniforms,
     check_beta_sampler,
+    check_beta_shapes,
     derive_rng,
     make_misspecified_dataset,
     sample_workers_beta,
@@ -508,15 +510,15 @@ class ResultRow:
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 # The JSON kinds of experiment-config and ``bounds --params`` values. A
-# number is finite, and true and false are not numbers; an integer is written
-# without a fractional part, a whole number is any number without one (2.0
-# reads as 2).
+# number is finite and no larger than the largest float, and true and false
+# are not numbers; an integer is written without a fractional part, a whole
+# number is any number without one (2.0 reads as 2).
 KINDS = {
     "integer": lambda x: KINDS["number"](x) and isinstance(x, numbers.Integral),
     "whole number": lambda x: KINDS["integer"](x) or (
         isinstance(x, float) and x.is_integer()),
     "number": lambda x: isinstance(x, numbers.Real) and not isinstance(
-        x, bool) and (isinstance(x, numbers.Integral) or math.isfinite(x)),
+        x, bool) and abs(x) <= sys.float_info.max,  # False for NaN
     "numbers": lambda x: KINDS["number"](x) or (
         isinstance(x, (list, tuple)) and all(map(KINDS["numbers"], x))),
     "string": lambda x: isinstance(x, str),
@@ -684,19 +686,25 @@ KNOWN_METHODS = tuple(METHODS)
 
 
 # Valid values of the sim keys that a trial's models read.
-_SIM_STAND_INS = {"M": 1, "N": 1, "L": 2, "q": 1.0, "beta_tol": 1.0}
+_SIM_STAND_INS = {"M": 1, "N": 1, "L": 2, "q": 1.0, "beta_tol": 1.0,
+                  "beta_a": 1.0, "beta_b": 1.0}
 
 
 def _check_sim(sim: dict, swept: str) -> None:
     """Build the models of an hds-sweep trial once per key of ``sim`` that
-    a trial reads (those of :data:`_SIM_STAND_INS` but the ``swept`` one),
-    with that key's value and the others at their stand-ins, and re-raise a
-    constructor's DomainError with the key in front of its message."""
+    a trial reads (those of :data:`_SIM_STAND_INS` but the ``swept`` one,
+    and ``beta_a`` where a ``wbar`` replaces it), with that key's value and
+    the others at their stand-ins, and re-raise a constructor's DomainError
+    with the key in front of its message."""
+    unread = {swept}
+    if swept == "wbar" or sim["wbar"] is not None:
+        unread.add("beta_a")
     for key in _SIM_STAND_INS:
-        if key == swept:
+        if key in unread:
             continue
-        M, N, L, q, tol = {**_SIM_STAND_INS, key: sim[key]}.values()
+        M, N, L, q, tol, a, b = {**_SIM_STAND_INS, key: sim[key]}.values()
         try:
+            check_beta_shapes(a, b)
             check_beta_sampler(M, tol)
             model = WorkerModel.hds(np.full(M, 0.5), L)
             SimConfig(M, N, L, Prior.uniform(L), AssignmentModel.constant(q),
@@ -900,27 +908,30 @@ _GROUP_LABELS = 1 << 14
 
 
 def _expected_labels(config: ExperimentConfig, sweep_value, dataset) -> float:
-    """The expected label count of a trial at ``sweep_value``."""
+    """The expected label count of a trial at ``sweep_value``, a float
+    (infinite, or negative, where the sizes are ones the trial rejects)."""
     if config.scenario == "hds-sweep":
         sim = {**config.sim, config.sweep_variable: sweep_value}
-        return sim["M"] * sim["N"] * sim["q"]
+        return float(sim["M"]) * sim["N"] * sim["q"]
     if config.scenario == "misspecified":
         spec = config.misspec
-        return (spec["M1"] + spec["M2"]) * (spec["N1"] + spec["N2"]) * spec["q"]
+        return (float(spec["M1"] + spec["M2"]) * (spec["N1"] + spec["N2"])
+                * spec["q"])
     return dataset[0].num_labels * sweep_value
 
 
 def _cell_groups(config: ExperimentConfig, dataset) -> list[list]:
     """The (sweep index, trial) cells in row order, cut into groups of
     consecutive cells: a group grows while its cells' expected labels stay
-    within :data:`_GROUP_LABELS`, and with ``record_timing`` set, so that
-    each row times its own trial, every cell is a group."""
+    within :data:`_GROUP_LABELS` (a NaN total, after a size of -inf, starts
+    a group), and with ``record_timing`` set, so that each row times its own
+    trial, every cell is a group."""
     groups, total = [], math.inf
     for sweep_index, sweep_value in enumerate(config.sweep_grid):
         size = _expected_labels(config, sweep_value, dataset)
         for trial in range(config.trials):
             total += size
-            if config.record_timing or total > _GROUP_LABELS:
+            if config.record_timing or not total <= _GROUP_LABELS:
                 groups.append([])
                 total = size
             groups[-1].append((sweep_index, trial))

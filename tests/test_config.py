@@ -112,6 +112,42 @@ def test_wrong_kinds_exit_1_and_name_the_key(tmp_path, capsys):
         assert code == 1 and repr(key) in err, (scenario, key, err)
 
 
+HUGE = 10 ** 400  # more than a float holds
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["bounds", "--scenario", "mv-hds", "--params",
+      json.dumps({**VALID_PARAMS["mv-hds"], "M": HUGE})], "'M'"),
+    (["bounds", "--scenario", "wmv-hds", "--params",
+      json.dumps({**VALID_PARAMS["wmv-hds"], "L": HUGE})], "'L'"),
+    (["bounds", "--scenario", "oswmv", "--params",
+      json.dumps({"accuracies": [0.95] * 10, "N": 10 ** 200})], "'N'"),
+    (["bounds", "--scenario", "wmv-hds", "--params",
+      json.dumps({**VALID_PARAMS["wmv-hds"], "L": 10 ** 18})], "'L'"),
+    (["experiment", "--config", {**BASE, "trials": HUGE}], "trials"),
+], ids=["mv-hds-M", "wmv-hds-L", "oswmv-N", "wmv-hds-L-1e18", "trials"])
+def test_huge_counts_exit_1_and_name_the_key(argv, key, tmp_path, capsys):
+    if argv[0] == "experiment":
+        code, err = experiment(tmp_path, argv[2], capsys)
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 1 and key in err, err
+
+
+@pytest.mark.parametrize("scenario, params, keys", [
+    ("general", {**VALID_PARAMS["general"], "shifts": [1e308, -1e308]},
+     ("scores", "shifts")),
+    ("wmv-hds", {**VALID_PARAMS["wmv-hds"], "weights": [1e308, 1e308]},
+     ("weights",)),
+], ids=["general-shifts", "wmv-hds-weights"])
+def test_overflowing_bounds_inputs_exit_1_and_name_the_keys(
+        scenario, params, keys, capsys):
+    code = main(["bounds", "--scenario", scenario, "--params",
+                 json.dumps(params)])
+    err = capsys.readouterr().err
+    assert code == 1 and all(key in err for key in keys), err
+
+
 def test_missing_required_keys_say_where(tmp_path, capsys):
     dataset = {"scenario": "dataset", "methods": ["mv"],
                "sweep": {"variable": "s", "grid": [1.0]}}
