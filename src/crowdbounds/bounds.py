@@ -168,14 +168,15 @@ def score_quantities(rule: DecomposableRule, assignment: AssignmentModel,
 
 
 def _weight_norm(weights: np.ndarray) -> float:
-    """The Euclidean norm of a weight vector, as :func:`numpy.linalg.norm`
-    gives it; its square must be positive and finite."""
-    square = float(weights.dot(weights))
-    if square == 0:
+    """The Euclidean norm of a weight vector, which must be positive and
+    finite. numpy sums the squares first, so a finite norm has a finite
+    square."""
+    norm = float(np.linalg.norm(weights))
+    if norm == 0:
         raise DomainError("an all-zero weight vector has no normalised gap")
-    if not math.isfinite(square):
-        raise DomainError("the squared norm of the weights overflows a float")
-    return math.sqrt(square)
+    if not math.isfinite(norm):
+        raise DomainError("the norm of the weights overflows a float")
+    return norm
 
 
 def quantities_wmv_hds(q: float, weights, accuracies,
