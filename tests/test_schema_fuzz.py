@@ -141,10 +141,12 @@ def test_bounds_params_exit_0_or_1_with_strict_json(data):
         assert repr(key) in err, (scenario, key, value, err)
 
 
-CONFIG_TARGETS = [(section, key, spec) for section, (kind, default, *rest)
-                  in CONFIG_KEYS.items()
-                  for key, spec in (rest[0].items() if rest
-                                    else [(None, (kind, default))])]
+# (section, key, (kind, default)) of every key; the section of a top-level
+# key is None.
+CONFIG_TARGETS = [target for name, (kind, default, *inner) in CONFIG_KEYS.items()
+                  for target in ([(name, key, spec)
+                                  for key, spec in inner[0].items()] if inner
+                                 else [(None, name, (kind, default))])]
 
 
 @PROFILE
@@ -153,15 +155,12 @@ def test_experiment_configs_exit_0_or_1_with_checked_rows(data, monkeypatch):
     monkeypatch.setattr(harness, "_cell_workers", lambda num_tasks: 1)
     config = json.loads(json.dumps(data.draw(st.sampled_from(VALID_CONFIGS))))
     section, key, (kind, default) = data.draw(st.sampled_from(CONFIG_TARGETS))
-    if section is None:
-        section, key = key, None
-    place = config if key is None else config.setdefault(section, {})
-    name = section if key is None else key
-    valid = place.get(name, None if default is REQUIRED else default)
+    place = config.setdefault(section, {}) if section else config
+    valid = place.get(key, None if default is REQUIRED else default)
     value = data.draw(changed(valid).filter(
-        lambda v: name not in SIZES or not of_kind("number", v)
-        or v <= SIZES[name]))
-    place[name] = value
+        lambda v: key not in SIZES or not of_kind("number", v)
+        or v <= SIZES[key]))
+    place[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
@@ -181,4 +180,4 @@ def test_experiment_configs_exit_0_or_1_with_checked_rows(data, monkeypatch):
     out_of_range = (section == "sim" and config["scenario"] == "hds-sweep"
                     and of_kind(kind, value) and not SIM_RANGES[key](value))
     if code == 1 and (wrong_kind or out_of_range):
-        assert names(err, key or section), (section, key, value, err)
+        assert names(err, key), (section, key, value, err)
