@@ -78,12 +78,10 @@ def _cmd_simulate(args) -> int:
         if accuracies.size != args.workers:
             raise DomainError("need one accuracy per worker")
     else:
-        check_beta_shapes(args.beta_a, args.beta_b)  # before a / (a + b)
-        target = args.target_mean
-        if target is None:
-            target = args.beta_a / (args.beta_a + args.beta_b)
+        check_beta_shapes(args.beta_a, args.beta_b)  # as given, even if unread
         accuracies = sample_workers_beta(args.workers, args.beta_a, args.beta_b,
-                                         target, tol=args.tol, seed=args.seed)
+                                         args.target_mean, tol=args.tol,
+                                         seed=args.seed)
     config = SimConfig(args.workers, args.items, args.classes,
                        Prior.uniform(args.classes),
                        AssignmentModel.constant(args.q),
@@ -250,9 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--items", type=int, required=True)
     sim.add_argument("--classes", type=int, default=2)
     sim.add_argument("--q", type=float, default=1.0)
-    sim.add_argument("--beta-a", type=float, default=2.3)
+    sim.add_argument("--beta-a", type=float, default=2.3,
+                     help="Beta shape a; unread with --target-mean")
     sim.add_argument("--beta-b", type=float, default=2.0)
-    sim.add_argument("--target-mean", type=float, default=None)
+    sim.add_argument("--target-mean", type=float, default=None,
+                     help="mean accuracy T; moves a to b T / (1 - T)")
     sim.add_argument("--tol", type=float, default=0.01)
     sim.add_argument("--accuracies", default=None,
                      help="comma-separated per-worker accuracies "
@@ -307,7 +307,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, OSError, KeyError, json.JSONDecodeError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -774,8 +774,14 @@ class ExperimentConfig:
         for wbar in (*wbars, self.sim["wbar"]):
             if wbar is not None and not 0 < wbar < 1:
                 raise DomainError(f"wbar must lie in (0, 1), got {wbar!r}")
-        if self.scenario == "dataset" and self.dataset["path"] is None:
-            raise DomainError("the 'dataset' scenario needs dataset.path")
+        if self.scenario == "dataset":
+            if self.dataset["path"] is None:
+                raise DomainError("the 'dataset' scenario needs dataset.path")
+            try:
+                LabelSet(self.dataset["L"], self.dataset["binary"])
+            except DomainError as exc:
+                key = "L" if self.dataset["L"] < 2 else "binary"
+                raise type(exc)(f"dataset.{key}: {exc}") from None
         if self.scenario == "hds-sweep":
             _check_sim(self.sim, self.sweep_variable)
 
@@ -796,14 +802,9 @@ def _hds_trial_data(config: ExperimentConfig, sweep_value, seed: int):
     """Simulate one trial of an hds-sweep scenario: labels, truth, the true
     accuracies and the label probability q."""
     sim = {**config.sim, config.sweep_variable: sweep_value}  # "none": unread
-    M, N, L, q, b = sim["M"], sim["N"], sim["L"], sim["q"], sim["beta_b"]
-    a, target = sim["beta_a"], sim["wbar"]
-    if target is None:
-        target = a / (a + b)
-    else:
-        a = b * target / (1.0 - target)
-    accuracies = sample_workers_beta(M, a, b, target, tol=sim["beta_tol"],
-                                     seed=seed)
+    M, N, L, q = sim["M"], sim["N"], sim["L"], sim["q"]
+    accuracies = sample_workers_beta(M, sim["beta_a"], sim["beta_b"],
+                                     sim["wbar"], tol=sim["beta_tol"], seed=seed)
     model = WorkerModel.hds(accuracies, L)
     sim_config = SimConfig(M, N, L, Prior.uniform(L),
                            AssignmentModel.constant(q), model, seed=seed)

@@ -7,7 +7,6 @@ independent draws never share a stream.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 
@@ -24,8 +23,7 @@ from .core import (
 
 
 class RejectionBudgetExceeded(DomainError):
-    """The conditioned sampler gave up after the configured number of batches,
-    most often because the target mean is out of reach of Beta(a, b)."""
+    """The conditioned sampler spent its budget of batches."""
 
 
 def derive_rng(master_seed: int, *tags) -> np.random.Generator:
@@ -119,57 +117,27 @@ def check_beta_sampler(num_workers: int, tol: float) -> None:
         raise DomainError("at least one worker is required")
 
 
-# A target is rejected before any draw when a bound shows that all of the
-# sampler's batches together reach it with a chance below this.
-_HOPELESS = 0.01
+def sample_workers_beta(num_workers: int, a: float, b: float,
+                        target_mean: float | None = None, tol: float = 0.01,
+                        seed: int = 0, max_batches: int = 100_000) -> np.ndarray:
+    """Draw worker accuracies from a Beta prior conditioned on the sample mean.
 
-
-def _log_tail_bound(num_workers: int, a: float, b: float, x: float) -> float:
-    """A Chernoff bound on the log of P(mean of ``num_workers`` Beta(a, b)
-    draws >= x): the least, over tilts ``s`` in [0.01, 300], of
-    ``num_workers * (log E exp(sX) - s x)``. The moment generating function
-    is the series of 1F1(a; a + b; s), whose first 1000 terms are summed;
-    past them each term is at most s / 1000 <= 0.3 of the one before, so
-    half the last term bounds the rest. Every tilt gives a valid bound."""
-    k = np.arange(999)
-    log_terms = np.concatenate(([0.0], np.cumsum(
-        -np.log1p(b / (a + k)) - np.log1p(k))))
-    tilts = np.geomspace(0.01, 300.0, 200)[:, None]
-    log_terms = log_terms + np.arange(1000) * np.log(tilts)
-    log_terms[:, -1] += np.log(1.5)
-    peak = log_terms.max(axis=1, keepdims=True)
-    log_mgf = peak + np.log(np.exp(log_terms - peak).sum(axis=1, keepdims=True))
-    return float(num_workers * np.min(log_mgf - tilts * x))
-
-
-def sample_workers_beta(num_workers: int, a: float, b: float, target_mean: float,
-                        tol: float = 0.01, seed: int = 0,
-                        max_batches: int = 100_000) -> np.ndarray:
-    """Draw worker accuracies from Beta(a, b) conditioned on the sample mean.
-
-    Whole batches of ``num_workers`` draws are rejected until the batch mean
-    lands within ``tol`` of ``target_mean``; resampling individual workers
-    would distort the marginal distribution. A window that a Chernoff bound
-    shows ``max_batches`` batches reach with a chance below 1 % is rejected
-    before any draw; any other target draws the same batches as ever.
+    A ``target_mean`` moves the prior to it: the shape ``a`` becomes
+    ``b * target_mean / (1 - target_mean)``, so Beta(a, b) has that mean, and
+    the given ``a`` is not read. Without one, Beta(a, b) is conditioned on its
+    own mean ``a / (a + b)``. Whole batches of ``num_workers`` draws are
+    rejected until the batch mean lands within ``tol`` of the target;
+    resampling individual workers would distort the marginal distribution.
     """
-    check_beta_shapes(a, b)
-    if not 0 < target_mean < 1:
+    if target_mean is None:
+        check_beta_shapes(a, b)  # before a / (a + b)
+        target_mean = a / (a + b)
+    elif 0 < target_mean < 1:  # any other target is rejected below
+        a = b * target_mean / (1.0 - target_mean)
+    if not 0 < target_mean < 1:  # a prior's own mean may round to 0 or 1
         raise DomainError("target mean must lie strictly inside (0, 1)")
+    check_beta_shapes(a, b)
     check_beta_sampler(num_workers, tol)
-    mean = 1.0 / (1.0 + b / a)
-    if abs(target_mean - mean) > tol:
-        # The near edge of the window, as an upper tail: 1 - X is Beta(b, a).
-        if target_mean > mean:
-            log_bound = _log_tail_bound(num_workers, a, b, target_mean - tol)
-        else:
-            log_bound = _log_tail_bound(num_workers, b, a,
-                                        1.0 - target_mean - tol)
-        if math.log(max_batches) + log_bound < math.log(_HOPELESS):
-            raise RejectionBudgetExceeded(
-                f"a batch of {num_workers} Beta({a}, {b}) draws, of mean "
-                f"{mean:.6g}, hits {target_mean} +/- {tol} within "
-                f"{max_batches} batches with a chance below {_HOPELESS:.0%}")
     rng = derive_rng(seed, "worker-accuracies")
     for _ in range(max_batches):
         draws = rng.beta(a, b, size=num_workers)

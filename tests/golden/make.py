@@ -105,12 +105,15 @@ CLI_CASES |= {
     for data, args in LABEL_INPUTS.items()
     for tag, extra in (("", []), ("_subsample", SUBSAMPLE))
 }
-# Small simulated crowds, three-class and binary.
+# Small simulated crowds, three-class and binary, and one whose prior moves
+# to a target mean far from its own.
 SIMULATE = ["simulate", "--workers", "6", "--items", "20", "--q", "0.7",
             "--seed", "5"]
 CLI_CASES |= {
     "simulate_3class": [*SIMULATE, "--classes", "3"],
     "simulate_binary": [*SIMULATE, "--binary"],
+    "simulate_target_mean": [*SIMULATE, "--classes", "3",
+                             "--target-mean", "0.98"],
 }
 # Every bounds scenario: wmv-hds, oswmv and general with README's params,
 # hyperplane and mv-hds with tests/test_config.py's; the three with a

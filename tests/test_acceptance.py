@@ -169,8 +169,7 @@ def test_criterion_6_iwmv_em_parity():
         iwmv_errors, em_errors, iwmv_iters, em_iters = [], [], [], []
         for seed in range(100):
             accuracies = cb.sample_workers_beta(
-                31, 2.3, 2.0, 2.3 / 4.3, tol=0.01,
-                seed=60_000 + 1000 * index + seed)
+                31, 2.3, 2.0, tol=0.01, seed=60_000 + 1000 * index + seed)
             out = hds_sim(31, N, 3, accuracies, q=0.3,
                           seed=70_000 + 1000 * index + seed)
             iwmv_result = cb.iwmv(out.labels)

@@ -200,6 +200,19 @@ def test_a_sim_value_the_models_reject_exits_1_and_names_the_key(
         1, f"error: sim.{key}: {message}\n")
 
 
+@pytest.mark.parametrize("key, dataset, message", [
+    ("L", {"L": 1}, "at least two classes are required"),
+    ("binary", {"L": 3, "binary": True},
+     "the +/-1 convention only applies to two classes")])
+def test_a_dataset_label_set_the_model_rejects_exits_1_and_names_the_key(
+        tmp_path, capsys, key, dataset, message):
+    config = {"scenario": "dataset", "methods": ["mv"],
+              "sweep": {"variable": "s", "grid": [1.0]},
+              "dataset": {"path": str(tmp_path / "labels.csv"), **dataset}}
+    assert experiment(tmp_path, config, capsys) == (
+        1, f"error: dataset.{key}: {message}\n")
+
+
 def test_a_sim_value_the_sweep_replaces_is_not_checked(tmp_path, capsys):
     config = {**BASE, "sweep": {"variable": "q", "grid": [0.5]},
               "sim": {**BASE["sim"], "q": 0}}

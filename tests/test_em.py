@@ -52,8 +52,8 @@ class TestEmFit:
         # stays small once each worker has ~600 labels.
         deviations = []
         for seed in range(100):
-            accuracies = sample_workers_beta(31, 2.3, 2.0, 2.3 / 4.3,
-                                             tol=0.01, seed=5_000 + seed)
+            accuracies = sample_workers_beta(31, 2.3, 2.0, tol=0.01,
+                                             seed=5_000 + seed)
             out = hds_sim(31, 2000, 3, accuracies, q=0.3, seed=6_000 + seed)
             result = em_fit(out.labels, EmConfig(model_kind="hds"))
             deviations.append(
