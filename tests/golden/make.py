@@ -48,6 +48,7 @@ from crowdbounds.harness import (  # noqa: E402
 
 FITS = ("mv", "iwmv", "em-gds", "em-hds")
 DENSE, TRIPLES, TRUTH = "dense.csv", "triples.csv", "triples_truth.csv"
+PADDED = "padded.csv"
 
 CASES = {
     # Enough trials that the cells do not all fit in one group.
@@ -98,6 +99,13 @@ CLI_CASES = {
     for data, args in LABEL_INPUTS.items()
     for name, method in METHODS.items() if not method.needs_model
 }
+# A three-class triples file written as the package never writes one.
+PADDED_INPUT = ["--in", PADDED, "--classes", "3"]
+CLI_CASES |= {
+    f"aggregate_padded_{name}": ["aggregate", "--method", name, *PADDED_INPUT]
+    for name in ("mv", "em-hds")
+}
+CLI_CASES["summarize_padded"] = ["summarize", *PADDED_INPUT]
 # Both label files summarized, whole and subsampled.
 SUBSAMPLE = ["--subsample", "0.5", "--seed", "3"]
 CLI_CASES |= {
@@ -153,9 +161,12 @@ STDOUT = GOLDEN / "stdout.json"
 
 
 def write_inputs() -> None:
-    """The dataset cases' label files, drawn with numpy alone: a 10 x 90
-    three-class grid at 60 % density and a 12-worker, 70-item binary
-    triples file (labels +1/-1) with its truth."""
+    """The label files, drawn with numpy alone: a 10 x 90 three-class grid
+    at 60 % density, a 12-worker, 70-item binary triples file (labels
+    +1/-1) with its truth, and an 8-worker, 40-item three-class triples
+    file whose cells are padded with ASCII and Unicode whitespace (so each
+    id is spelled several ways), whose tokens may read ``+1`` or ``01``,
+    with blank lines and CRLF line ends."""
     rng = np.random.default_rng(2014)
     truth = rng.integers(1, 4, 90)
     accuracy = rng.uniform(0.4, 0.9, (10, 1))
@@ -176,11 +187,33 @@ def write_inputs() -> None:
     (GOLDEN / TRUTH).write_text("item,label\n" + "".join(
         f"i{j},{label}\n" for j, label in enumerate(truth)))
 
+    rng = np.random.default_rng(2015)
+    pads = ["", "", " ", "  ", "\t", "\xa0", "\u3000", "\x1e", "\x85"]
+    spellings = ["{}", "{}", "+{}", "0{}", "+0{}"]
+
+    def pad(text):
+        return (pads[rng.integers(len(pads))] + text
+                + pads[rng.integers(len(pads))])
+
+    truth = rng.integers(1, 4, 40)
+    accuracy = rng.uniform(0.4, 0.9, 8)
+    lines = [" Worker ,item,\tLABEL"]
+    for j in range(40):
+        for i in np.flatnonzero(rng.random(8) < 0.6):
+            label = (truth[j] if rng.random() < accuracy[i]
+                     else (truth[j] + rng.integers(0, 2)) % 3 + 1)
+            token = spellings[rng.integers(len(spellings))].format(label)
+            lines.append(",".join(map(pad, [f"w{i}", f"ítem-{j}", token])))
+            if rng.random() < 0.1:
+                lines.append("")
+    (GOLDEN / PADDED).write_text("\r\n".join(lines) + "\r\n", newline="")
+
 
 def run_cli_case(name: str, workdir: Path) -> dict[str, str]:
     """The text of CLI case ``name``'s stored outputs, by file suffix, and
     its stdout under ``"stdout"``."""
-    argv = [str(GOLDEN / arg) if arg in (DENSE, TRIPLES, TRUTH) else arg
+    inputs = (DENSE, TRIPLES, TRUTH, PADDED)
+    argv = [str(GOLDEN / arg) if arg in inputs else arg
             for arg in CLI_CASES[name]]
     files, keep_stdout = OUTPUTS[argv[0]]
     for flag, suffix in files.items():

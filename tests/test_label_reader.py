@@ -28,7 +28,7 @@ from crowdbounds.harness import (DuplicateLabel, ParseError, UnknownLabel,
 def reference_dense(path, label_set):
     with open(path, newline="") as handle:
         rows = [row for row in csv.reader(handle) if row]
-    grid = np.array([[int(cell) for cell in row] for row in rows])
+    grid = np.array([[int(cell.strip()) for cell in row] for row in rows])
     internal = grid.copy()
     if label_set.binary_convention:
         internal = np.select([grid == 1, grid == -1, grid == 0], [1, 2, 0], -1)
@@ -60,16 +60,36 @@ def reference_triples(path, label_set):
     return matrix, list(worker_index), list(item_index)
 
 
+# Whitespace that ``str.strip`` strips from a cell: ASCII, the separators
+# \x1c-\x1f (which ``int`` does not strip) and non-ASCII spaces.
+PADS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+        "\xa0", "\u3000"]
+padding = st.text(st.sampled_from(PADS), max_size=2)
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                             "\u0665\u0666\u0667\u0668\u0669")
+
+
+def spell(draw, value: int) -> str:
+    """``value`` as a token that ``int`` reads as ``value``: with or without
+    a sign, a leading zero or ``0_``, in ASCII or Arabic-Indic digits."""
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    digits = str(abs(value))
+    if draw(st.booleans()):
+        digits = digits.translate(ARABIC_INDIC)
+    return sign + draw(st.sampled_from(["", "0", "0_"])) + digits
+
+
 @st.composite
 def label_files(draw):
     """A valid labels file as (format, label set, lines, newline).
 
     Each line is a list of fields; ``None`` is a blank line. A third of the
     files are plain: printable ASCII cells without padding, canonical
-    tokens and no blank line. In the others cells may carry surrounding
-    spaces, tokens may be spelled ``+1`` or ``01``, and keys may be
-    non-ASCII. Keys may be 9 to 20 bytes long, and the label set may use
-    the +/-1 convention.
+    tokens and no blank line. In the others cells may carry up to two
+    characters of :data:`PADS` on either side, so one key is spelled
+    several ways, tokens may be spelled as :func:`spell` spells them
+    (``+01``, ``0_1``, ``\u0661``), and keys may be non-ASCII. Keys may be 9
+    to 20 bytes long, and the label set may use the +/-1 convention.
     """
     fmt = draw(st.sampled_from(["dense-csv", "csv-triples"]))
     binary = draw(st.booleans())
@@ -82,19 +102,15 @@ def label_files(draw):
         grid[draw(st.integers(0, M - 1)), draw(st.integers(0, N - 1))] = 1
     external = label_set.to_external(grid)
     plain = draw(st.integers(0, 2)) == 0
-    pad = st.just("{}") if plain else st.sampled_from(
-        ["{}", " {}", "{} ", "  {} "])
     style = draw(st.sampled_from(["{}{}", "{}-{:012d}"]
                                  + ([] if plain else ["{}é{}"])))
 
     def cell(value):
-        return draw(pad).format(value)
+        text = str(value)
+        return text if plain else draw(padding) + text + draw(padding)
 
     def token(value):
-        if plain:
-            return cell(value)
-        sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
-        return cell(sign + draw(st.sampled_from(["", "0"])) + str(abs(value)))
+        return cell(value if plain else spell(draw, value))
 
     if fmt == "dense-csv":
         rows = [[token(v) for v in row] for row in external.tolist()]
@@ -222,7 +238,7 @@ def reference_rows(path, header, label_set):
                     *keys, token = [cell.strip() for cell in row]
                     decoded = (*keys, class_of[int(token)])
                 else:
-                    decoded = list(map(class_of.__getitem__, map(int, row)))
+                    decoded = [class_of[int(cell.strip())] for cell in row]
             except (KeyError, ValueError):
                 raise reference_bad_label(
                     reader.line_num, row[-1:] if header else row, class_of,
@@ -233,7 +249,7 @@ def reference_rows(path, header, label_set):
 def reference_bad_label(line, tokens, class_of, num_classes):
     for token in tokens:
         try:
-            value = int(token)
+            value = int(token.strip())
         except ValueError:
             return ParseError(line, f"label {token.strip()!r} is not an integer")
         if value not in class_of:
@@ -295,11 +311,13 @@ def csv_files(draw):
     """A labels or truth file as (kind, label set, text, item ids to align
     truth with), valid or with up to three faults.
 
-    Tokens may be spelled out of canonical form (``01``, ``+1``), cells
-    and headers may be padded, lines may end in LF, CRLF or a lone CR, and
-    empty or whitespace-only lines may appear anywhere. A fault is a row
-    with a field added or dropped, a label that is not an integer or not in
-    the label set, a repeated key (keyed files) or a bad header. A third of
+    Tokens may be spelled out of canonical form (:func:`spell`), cells
+    and headers may be padded with :data:`PADS`, so that keys which differ
+    as written are equal once stripped, lines may end in LF, CRLF or a lone
+    CR, and empty or whitespace-only lines may appear anywhere. A fault is
+    a row with a field added or dropped, a label that is not an integer
+    (``x``, ``1 2``) or not in the label set (``1_0`` reads as 10), a
+    repeated key (keyed files) or a bad header. A third of
     the files are plain but for their faults and header: keys of
     :data:`PLAIN_KEYS`, canonical tokens, no padding and no empty line.
     """
@@ -313,16 +331,10 @@ def csv_files(draw):
     plain = draw(st.integers(0, 2)) == 0
 
     def pad(text):
-        if plain:
-            return text
-        return (draw(st.sampled_from(["", " ", "\t", "  "])) + text
-                + draw(st.sampled_from(["", " "])))
+        return text if plain else draw(padding) + text + draw(padding)
 
     def token(value):
-        if plain:
-            return str(value)
-        sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
-        return pad(sign + draw(st.sampled_from(["", "", "0"])) + str(abs(value)))
+        return str(value) if plain else pad(spell(draw, value))
 
     if kind == "dense-csv":
         M, N = draw(st.integers(1, 4)), draw(st.integers(1, 5))
@@ -350,13 +362,14 @@ def csv_files(draw):
                     row.append(token(values[0]))
             elif fault == "integer":
                 row[column] = pad(draw(st.sampled_from(
-                    ["x", "1.0", "", "--1", "1 2", "0x1"])))
+                    ["x", "1.0", "", "--1", "1 2", "0x1", "_1", "1_0"])))
             else:
                 row[column] = token(draw(st.sampled_from(
                     [L + 1, -2, 10 ** 30, 0])))
         elif fault == "blank":
             rows.insert(draw(st.integers(0, len(rows))),
-                        [draw(st.sampled_from([" ", "\t", "  "]))])
+                        [draw(st.text(st.sampled_from(PADS), min_size=1,
+                                      max_size=2))])
         elif fault == "duplicate" and kind != "dense-csv" and rows:
             copy = rows[draw(st.integers(0, len(rows) - 1))]
             rows.insert(draw(st.integers(0, len(rows))),
