@@ -60,6 +60,7 @@ from .simulate import (
     cell_uniforms,
     check_beta_sampler,
     check_beta_shapes,
+    check_misspecified,
     derive_rng,
     make_misspecified_dataset,
     sample_workers_beta,
@@ -93,11 +94,6 @@ LABEL_FORMATS = ("csv-triples", "dense-csv")
 
 _READ_BLOCK = 1 << 16  # characters of whole lines the label reader decodes at once
 
-# The bytes of a plain block's rows: printable ASCII but the double quote,
-# so that no cell has whitespace to strip or a quote, and line ends.
-_PLAIN = np.zeros(256, bool)
-_PLAIN[0x21:0x7F] = True
-_PLAIN[[ord('"'), ord("\n")]] = False, True
 # The masks that keep a word's first 0 to 8 bytes.
 _KEEP = np.frombuffer(b"".join(b"\xff" * n + bytes(8 - n) for n in range(9)),
                       np.uint64)
@@ -183,65 +179,16 @@ def _unpack(words: np.ndarray) -> list[str]:
     return text[text != 0xFF].tobytes().decode().split("\n")[:-1]
 
 
-def _token_tables(by_token: dict):
-    """The label token table on bytes: one-byte tokens' codes by byte (-1:
-    none), and the other tokens of under 8 bytes as sorted :func:`_pack`
-    words with their codes."""
-    by_byte = np.full(256, -1, np.int64)
-    for token, code in by_token.items():
-        if len(token) == 1:
-            by_byte[ord(token)] = code
-    short = [token for token in by_token if len(token) < 8]
-    words = _pack_text(short)
-    order = np.argsort(words)
-    return by_byte, words[order], np.array([by_token[t] for t in short],
-                                           np.int64)[order]
-
-
-def _token_codes(data, at, starts, stops, tables):
-    """The codes of the label tokens ``[starts[k], stops[k])`` of the bytes
-    ``data`` (``at``: their :func:`_byte_words`), or None if one is not in
-    ``tables`` (:func:`_token_tables`)."""
-    by_byte, words, codes = tables
-    lengths = stops - starts
-    if (lengths == 1).all():
-        found = by_byte[data[starts]]
-    elif lengths.max() < 8:  # one word each
-        packed = _pack(at, starts, stops)
-        k = np.minimum(np.searchsorted(words, packed), words.size - 1)
-        found = np.where(words[k] == packed, codes[k], -1)
-    else:
-        return None
-    return found if (found >= 0).all() else None
-
-
-def _plain_rows(raw: bytes, data, ends, commas, start, width, keyed, tables):
-    """Read the rows of a block on its bytes: the key words of each key
-    column, then the label codes. ``raw`` is the block, ``data`` its bytes,
-    ``ends`` and ``commas`` their positions; the rows are the lines from
-    ``start`` on, none empty and each of ``width`` fields. None unless every
-    byte of the rows is :data:`_PLAIN` and every label token is in
-    ``tables``."""
-    begin = int(ends[start - 1]) + 1 if start else 0
-    if not _PLAIN[data[begin:]].all():
-        return None
-    lines = ends[start:]
-    rows = lines.size
-    # Each field lies between two cuts: a comma or a line end.
-    cuts = np.empty((rows, width + 1), np.int64)
-    cuts[0, 0] = begin - 1
-    cuts[1:, 0] = lines[:-1]
-    cuts[:, 1:-1] = commas[np.searchsorted(commas, begin):].reshape(
-        rows, width - 1)
-    cuts[:, -1] = lines
-    at = _byte_words(raw)
-    tokens = cuts[:, -2:] if keyed else cuts
-    codes = _token_codes(data, at, tokens[:, :-1].ravel() + 1,
-                         tokens[:, 1:].ravel(), tables)
-    if codes is None:
-        return None
-    return [*(_pack(at, cuts[:, k] + 1, cuts[:, k + 1])
-              for k in range(width - 1 if keyed else 0)), codes]
+def _strip_keys(numbers: np.ndarray, words: np.ndarray):
+    """:func:`_intern`'s key numbers and words for the keys as stripped
+    (``str.strip``): keys that strip equal are numbered again as one, still
+    in order of first appearance."""
+    written = _unpack(words)
+    stripped = list(map(str.strip, written))
+    if stripped == written:
+        return numbers, words
+    renumber, words = _intern(_pack_text(stripped))
+    return renumber[numbers], words
 
 
 def _read_table(path, header: tuple, label_set: LabelSet):
@@ -257,32 +204,30 @@ def _read_table(path, header: tuple, label_set: LabelSet):
     marks a missing one, and the classes come back as a (rows, width) array.
 
     Lines may end in LF, CRLF or a lone CR, empty lines are skipped, and
-    cells are stripped of surrounding whitespace. Every row must have as
-    many fields as the header or, in a grid, as its first row, and every
-    label token must be an integer in the one token table built from
-    :meth:`LabelSet.to_external`. No quoting is parsed: a double quote is
-    an error.
+    cells are stripped of surrounding whitespace (``str.strip``). Every row
+    must have as many fields as the header or, in a grid, as its first row,
+    and every label token must be an integer (``int``) in the one token
+    table built from :meth:`LabelSet.to_external`. No quoting is parsed: a
+    double quote is an error.
 
-    The file is read in blocks of whole lines (:func:`_line_blocks`), and
-    each check runs over a block's whole columns. A plain block (every row
-    of printable ASCII without a quote or a space, none empty, each with
-    the right field count and canonical label tokens) is read on its bytes
-    (:func:`_plain_rows`); any other block is split into stripped strings.
-    Either way a block adds its rows' keys as :func:`_pack` words and its
-    classes as int64, and only these arrays are kept; one :func:`_intern`
-    pass per key column, at the end of the file, numbers the keys. So the
-    ids, arrays, errors and lines do not depend on which blocks were plain.
-    Reading stops at the first faulty block, which is never plain, and the
-    error raised is the first faulty line's, as a line-by-line reader finds
-    it: a repeated key before that line, else its quote or field count,
-    else its label.
+    The file is read in blocks of whole lines (:func:`_line_blocks`), each
+    on its bytes: the rows and their field counts come from the positions of
+    the block's line ends, commas and quotes, and each field is packed
+    (:func:`_pack`) as written. A block's label tokens are numbered
+    (:func:`_intern`) and only its distinct ones are decoded, each once per
+    file. A block adds its rows' key words and int64 classes, and only these
+    arrays are kept. At the end of the file one :func:`_intern` pass per key
+    column numbers the keys as written; their distinct strings are stripped,
+    and keys that strip equal are numbered again as one. Reading stops at
+    the first faulty row, and the error raised is its line's, as a
+    line-by-line reader finds it: a repeated key before that line, else its
+    quote or field count, else its label.
     """
     classes = range(1, label_set.num_classes + 1)
     class_of = dict(zip(label_set.to_external(classes).tolist(), classes))
     if not header:
         class_of[0] = 0
-    by_token = {str(value): code for value, code in class_of.items()}
-    tables = _token_tables(by_token)
+    code_of = {}  # each label token as written: its class, or -1
     # Per column (the keys' words, then the classes), the arrays of each block.
     columns = [[np.empty(0, np.uint64)] for _ in header[1:]]
     columns.append([np.empty(0, np.int64)])
@@ -290,67 +235,74 @@ def _read_table(path, header: tuple, label_set: LabelSet):
     error, lines_read = None, 0
     with open(path) as handle:  # universal newlines: CRLF and CR read as LF
         for text in _line_blocks(handle):
-            # Where each line ends, and its commas, on the bytes.
+            # Where each line ends, and its commas and quotes, on the bytes.
             raw = text.encode()
             data = np.frombuffer(raw, np.uint8)
             ends = np.flatnonzero(data == ord("\n"))
             at_comma = np.flatnonzero(data == ord(","))
-            commas = np.diff(np.searchsorted(at_comma, ends), prepend=0)
+            commas, quotes = (np.diff(np.searchsorted(at, ends), prepend=0)
+                              for at in (at_comma,
+                                         np.flatnonzero(data == ord('"'))))
             start = 0
             if header and not lines_read:
-                first = text[:text.index("\n")]
-                if '"' in first:
+                if quotes[0]:
                     raise ParseError(1, "quoted fields are not supported")
-                if [cell.strip().lower()
-                        for cell in first.split(",")] != list(header):
+                if [cell.strip().lower() for cell in
+                        text[:text.index("\n")].split(",")] != list(header):
                     raise ParseError(1, f"expected header {','.join(header)!r}")
                 start = 1
             before, lines_read = lines_read, lines_read + ends.size
             # The block's 0-based line of each row: the lines that are not empty.
-            numbers = np.flatnonzero(np.diff(ends, prepend=-1)[start:] > 1) + start
-            if not numbers.size:
+            rows = np.flatnonzero(np.diff(ends, prepend=-1)[start:] > 1) + start
+            if not rows.size:
                 continue
-            width = width or 1 + int(commas[numbers[0]])
-            if numbers.size == ends.size - start and (
-                    commas[start:] == width - 1).all():
-                block = _plain_rows(raw, data, ends, at_comma, start, width,
-                                    bool(header), tables)
-                if block is not None:
-                    for column, part in zip(columns, block):
-                        column.append(part)
-                    continue
-            quotes = np.diff(np.searchsorted(
-                np.flatnonzero(data == ord('"')), ends), prepend=0)
-            lines = text.split("\n")
-            rows = list(filter(None, lines[start:]))
-            per_row = 1 if header else width  # label tokens per row
-            bad = np.flatnonzero((commas[numbers] != width - 1)
-                                 | (quotes[numbers] > 0))
+            width = width or 1 + int(commas[rows[0]])
+            bad = np.flatnonzero((commas[rows] != width - 1)
+                                 | (quotes[rows] > 0))
             if bad.size:
-                line = int(numbers[bad[0]])
+                line = int(rows[bad[0]])
                 error = ParseError(
                     before + line + 1, "quoted fields are not supported"
                     if quotes[line] else
                     f"expected {width} fields, got {commas[line] + 1}")
                 rows = rows[:bad[0]]
-            cells = list(map(str.strip, ",".join(rows).split(","))) if rows else []
-            del lines, rows  # the cells hold what is read from here on
-            tokens = cells[width - 1::width] if header else cells
-            for token in set(tokens).difference(by_token):  # "01", "+1", "x"
+            # Each field lies between two cuts: a comma or a line end. Only
+            # empty lines lie between the rows, and the header before them.
+            cuts = np.empty((rows.size, width + 1), np.int64)
+            cuts[:, 0] = np.r_[-1, ends][rows]
+            skip = start * (width - 1)
+            cuts[:, 1:-1] = at_comma[skip:skip + rows.size * (width - 1)
+                                     ].reshape(rows.size, width - 1)
+            cuts[:, -1] = ends[rows]
+            at = _byte_words(raw)
+            label_cuts = cuts[:, -2:] if header else cuts
+            tokens, distinct = _intern(_pack(
+                at, label_cuts[:, :-1].ravel() + 1, label_cuts[:, 1:].ravel()))
+            written = _unpack(distinct)  # each distinct token once
+            for token in set(written).difference(code_of):  # " 1", "+01", "x"
+                code_of[token] = -1  # not an integer, or not a class
                 with contextlib.suppress(ValueError):
-                    by_token[token] = class_of.get(int(token))  # None: not a class
-            codes = list(map(by_token.get, tokens))
-            k = codes.index(None) if None in codes else len(codes)  # a bad token
-            if k < len(codes):
-                token, line = tokens[k], before + int(numbers[k // per_row]) + 1
-                error = (UnknownLabel(f"line {line}: label {int(token)} is not "
-                                      f"one of the {label_set.num_classes} classes")
-                         if token in by_token else
-                         ParseError(line, f"label {token!r} is not an integer"))
+                    code_of[token] = class_of.get(int(token.strip()), -1)
+            codes = np.array([code_of[token] for token in written],
+                             np.int64)[tokens]
+            per_row = 1 if header else width  # label tokens per row
+            wrong = np.flatnonzero(codes < 0)
+            k = int(wrong[0]) if wrong.size else codes.size  # a bad token
+            if wrong.size:
+                token = written[tokens[k]].strip()
+                line = before + int(rows[k // per_row]) + 1
+                try:
+                    error = UnknownLabel(
+                        f"line {line}: label {int(token)} is not one of the "
+                        f"{label_set.num_classes} classes")
+                except ValueError:
+                    error = ParseError(line,
+                                       f"label {token!r} is not an integer")
             n = k // per_row  # the rows before the first faulty one
             for column, keys in enumerate(columns[:-1]):
-                keys.append(_pack_text(cells[column:n * width:width]))
-            columns[-1].append(np.array(codes[:n * per_row], dtype=np.int64))
+                keys.append(_pack(at, cuts[:n, column] + 1,
+                                  cuts[:n, column + 1]))
+            columns[-1].append(codes[:n * per_row])
             if error:
                 break
     if header and not lines_read:
@@ -359,7 +311,7 @@ def _read_table(path, header: tuple, label_set: LabelSet):
     for c, column in enumerate(columns):  # one column's blocks at a time
         columns[c] = np.concatenate(column)
         if c < len(header) - 1:
-            columns[c], column_keys = _intern(columns[c])
+            columns[c], column_keys = _strip_keys(*_intern(columns[c]))
             keys.append(column_keys)
     *numbers, classes = columns
     if not header:
@@ -713,6 +665,23 @@ def _check_sim(sim: dict, swept: str) -> None:
             raise type(exc)(f"sim.{key}: {exc}") from None
 
 
+# Valid values of the misspec keys, in check_misspecified's order.
+_MISSPEC_STAND_INS = {"M1": 1, "M2": 1, "N1": 1, "N2": 1,
+                      "block": ((1.0, 1.0), (1.0, 1.0)), "q": 1.0}
+
+
+def _check_misspec(misspec: dict) -> None:
+    """Check each key of ``misspec`` as :func:`_check_sim` checks a sim
+    key: with the others at their stand-ins, re-raising an error with the
+    key in front of its message."""
+    for key in _MISSPEC_STAND_INS:
+        try:
+            check_misspecified(*{**_MISSPEC_STAND_INS,
+                                 key: misspec[key]}.values())
+        except ValueError as exc:
+            raise type(exc)(f"misspec.{key}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A full experiment: scenario, sweep grid, methods and seeding.
@@ -784,6 +753,8 @@ class ExperimentConfig:
                 raise type(exc)(f"dataset.{key}: {exc}") from None
         if self.scenario == "hds-sweep":
             _check_sim(self.sim, self.sweep_variable)
+        if self.scenario == "misspecified":
+            _check_misspec(self.misspec)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -198,15 +198,12 @@ def simulate_dataset(config: SimConfig) -> SimOutput:
     return SimOutput(truth, LabelMatrix(workers, items, sampled, M, N, L))
 
 
-def make_misspecified_dataset(group1_size: int, group2_size: int,
-                              set1_size: int, set2_size: int,
-                              accuracy_block, q: float, seed: int = 0) -> SimOutput:
-    """Binary data whose accuracy depends on a worker-group by item-set block.
-
-    Workers split into two groups and items into two sets; a worker labels an
-    observed item correctly with the probability from the 2x2 block, so no
-    single per-worker accuracy explains the data.
-    """
+def check_misspecified(group1_size: int, group2_size: int, set1_size: int,
+                       set2_size: int, accuracy_block, q: float) -> np.ndarray:
+    """Raise unless :func:`make_misspecified_dataset` can draw from these
+    values: positive group and set sizes, a 2x2 block of accuracies in
+    [0, 1] and an assignment probability in (0, 1]. Returns the block as
+    floats."""
     block = np.asarray(accuracy_block, dtype=float)
     if block.shape != (2, 2):
         raise DimensionMismatch("accuracy block must be 2x2")
@@ -216,6 +213,20 @@ def make_misspecified_dataset(group1_size: int, group2_size: int,
         raise DomainError("assignment probability must lie in (0, 1]")
     if min(group1_size, group2_size, set1_size, set2_size) < 1:
         raise DomainError("group and set sizes must be positive")
+    return block
+
+
+def make_misspecified_dataset(group1_size: int, group2_size: int,
+                              set1_size: int, set2_size: int,
+                              accuracy_block, q: float, seed: int = 0) -> SimOutput:
+    """Binary data whose accuracy depends on a worker-group by item-set block.
+
+    Workers split into two groups and items into two sets; a worker labels an
+    observed item correctly with the probability from the 2x2 block, so no
+    single per-worker accuracy explains the data.
+    """
+    block = check_misspecified(group1_size, group2_size, set1_size, set2_size,
+                               accuracy_block, q)
     rng = derive_rng(seed, "misspecified")
     M = group1_size + group2_size
     N = set1_size + set2_size

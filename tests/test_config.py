@@ -200,6 +200,22 @@ def test_a_sim_value_the_models_reject_exits_1_and_names_the_key(
         1, f"error: sim.{key}: {message}\n")
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("M1", 0, "group and set sizes must be positive"),
+    ("M2", -1, "group and set sizes must be positive"),
+    ("N1", 0, "group and set sizes must be positive"),
+    ("N2", 0, "group and set sizes must be positive"),
+    ("block", [[0.9, 0.6]], "accuracy block must be 2x2"),
+    ("block", [[0.9, 1.5], [0.5, 0.7]], "block accuracies must lie in [0, 1]"),
+    ("q", 0, "assignment probability must lie in (0, 1]")])
+def test_a_misspec_value_the_sampler_rejects_exits_1_and_names_the_key(
+        tmp_path, capsys, key, value, message):
+    config = {"scenario": "misspecified", "methods": ["mv"],
+              "misspec": {key: value}}
+    assert experiment(tmp_path, config, capsys) == (
+        1, f"error: misspec.{key}: {message}\n")
+
+
 @pytest.mark.parametrize("key, dataset, message", [
     ("L", {"L": 1}, "at least two classes are required"),
     ("binary", {"L": 3, "binary": True},

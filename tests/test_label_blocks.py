@@ -195,14 +195,13 @@ def test_an_error_in_a_later_block_reports_its_absolute_line(tmp_path, kind,
 
 
 @pytest.mark.parametrize("repeat", [None, 7, 44])
-def test_byte_and_string_blocks_alternate_and_share_one_key_numbering(
-        monkeypatch, tmp_path, repeat):
-    """Runs of six plain rows alternate with runs of six padded ones, so at
-    a small block size blocks read on their bytes alternate with blocks
-    split into stripped strings. A worker's rows sit in both kinds, and a
-    repeated (worker, item) pair, its first row in a plain run or in a
-    padded one, is found across them: the ids, matrix or error are the row
-    loop's."""
+def test_plain_and_padded_runs_share_one_key_numbering_across_blocks(
+        tmp_path, repeat):
+    """Runs of six plain rows alternate with runs of six padded ones, read
+    at a small block size, so that a block may hold either kind or both. A
+    worker's rows sit in both kinds, and a repeated (worker, item) pair,
+    its first row in a plain run or in a padded one, is found across
+    blocks: the ids, matrix or error are the row loop's."""
     rows = [f"w{j % 4},i{j},{1 + j % 3 // 2}" for j in range(60)]
     rows = [row if j // 6 % 2 else f" {row} " for j, row in enumerate(rows)]
     if repeat is not None:  # the pair again, spelled as the other run spells it
@@ -210,18 +209,8 @@ def test_byte_and_string_blocks_alternate_and_share_one_key_numbering(
                     else f" {rows[repeat]}")
     path = tmp_path / "labels.csv"
     path.write_text("worker,item,label\n" + "\n".join(rows) + "\n")
-    plain = []  # per call of the byte reader: whether its block was plain
-    read_bytes = harness._plain_rows
-
-    def counted(*args):
-        block = read_bytes(*args)
-        plain.append(block is not None)
-        return block
-
-    monkeypatch.setattr(harness, "_plain_rows", counted)
     actual, expected = read(path, "csv-triples", 20)
     assert actual == expected
-    assert True in plain and False in plain, plain
     if repeat is None:
         assert actual[-2] == ["w0", "w1", "w2", "w3"]
     else:
