@@ -58,8 +58,7 @@ from .em import EmConfig, em_fit_many, em_map_predict
 from .simulate import (
     SimConfig,
     cell_uniforms,
-    check_beta_sampler,
-    check_beta_shapes,
+    check_beta_prior,
     check_misspecified,
     derive_rng,
     make_misspecified_dataset,
@@ -637,49 +636,40 @@ METHODS = {
 KNOWN_METHODS = tuple(METHODS)
 
 
-# Valid values of the sim keys that a trial's models read.
-_SIM_STAND_INS = {"M": 1, "N": 1, "L": 2, "q": 1.0, "beta_tol": 1.0,
-                  "beta_a": 1.0, "beta_b": 1.0}
+# Valid values of the keys of each section that a trial reads, in the
+# order that _check_keys checks them.
+_STAND_INS = {
+    "sim": {"M": 1, "N": 1, "L": 2, "q": 1.0, "beta_tol": 1.0, "wbar": 0.5,
+            "beta_a": 1.0, "beta_b": 1.0},
+    "misspec": {"M1": 1, "M2": 1, "N1": 1, "N2": 1,
+                "block": ((1.0, 1.0), (1.0, 1.0)), "q": 1.0},
+    "dataset": {"L": 2, "binary": False},
+}
 
 
-def _check_sim(sim: dict, swept: str) -> None:
-    """Build the models of an hds-sweep trial once per key of ``sim`` that
-    a trial reads (those of :data:`_SIM_STAND_INS` but the ``swept`` one,
-    and ``beta_a`` where a ``wbar`` replaces it), with that key's value and
-    the others at their stand-ins, and re-raise a constructor's DomainError
-    with the key in front of its message."""
-    unread = {swept}
-    if swept == "wbar" or sim["wbar"] is not None:
-        unread.add("beta_a")
-    for key in _SIM_STAND_INS:
-        if key in unread:
-            continue
-        M, N, L, q, tol, a, b = {**_SIM_STAND_INS, key: sim[key]}.values()
+def _check_hds_trial(M, N, L, q, tol, wbar, a, b) -> None:
+    """Raise as an hds-sweep trial with these sim values would, before it
+    draws: the sampler's Beta prior, then the models."""
+    check_beta_prior(M, a, b, wbar, tol)
+    model = WorkerModel.hds(np.full(M, 0.5), L)  # before Prior.uniform(L)
+    SimConfig(M, N, L, Prior.uniform(L), AssignmentModel.constant(q), model)
+
+
+def _check_keys(section: str, values: dict, stand_ins: dict, check) -> None:
+    """Call ``check`` with one argument per key of ``stand_ins``, in order,
+    once per key: that key and the keys before it at ``values`` (a key not
+    in ``values`` keeps its stand-in), the keys after it at their
+    stand-ins. The first error is raised again as ``section.key: message``,
+    naming the key it was checked at."""
+    args = dict(stand_ins)
+    for key in stand_ins:
+        args[key] = values.get(key, args[key])
         try:
-            check_beta_shapes(a, b)
-            check_beta_sampler(M, tol)
-            model = WorkerModel.hds(np.full(M, 0.5), L)
-            SimConfig(M, N, L, Prior.uniform(L), AssignmentModel.constant(q),
-                      model)
-        except DomainError as exc:
-            raise type(exc)(f"sim.{key}: {exc}") from None
-
-
-# Valid values of the misspec keys, in check_misspecified's order.
-_MISSPEC_STAND_INS = {"M1": 1, "M2": 1, "N1": 1, "N2": 1,
-                      "block": ((1.0, 1.0), (1.0, 1.0)), "q": 1.0}
-
-
-def _check_misspec(misspec: dict) -> None:
-    """Check each key of ``misspec`` as :func:`_check_sim` checks a sim
-    key: with the others at their stand-ins, re-raising an error with the
-    key in front of its message."""
-    for key in _MISSPEC_STAND_INS:
-        try:
-            check_misspecified(*{**_MISSPEC_STAND_INS,
-                                 key: misspec[key]}.values())
+            check(*args.values())
         except ValueError as exc:
-            raise type(exc)(f"misspec.{key}: {exc}") from None
+            raise type(exc)(f"{section}.{key}: {exc}") from None
+        except MemoryError as exc:  # numpy's subclass takes other arguments
+            raise MemoryError(f"{section}.{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -743,18 +733,14 @@ class ExperimentConfig:
         for wbar in (*wbars, self.sim["wbar"]):
             if wbar is not None and not 0 < wbar < 1:
                 raise DomainError(f"wbar must lie in (0, 1), got {wbar!r}")
-        if self.scenario == "dataset":
-            if self.dataset["path"] is None:
-                raise DomainError("the 'dataset' scenario needs dataset.path")
-            try:
-                LabelSet(self.dataset["L"], self.dataset["binary"])
-            except DomainError as exc:
-                key = "L" if self.dataset["L"] < 2 else "binary"
-                raise type(exc)(f"dataset.{key}: {exc}") from None
-        if self.scenario == "hds-sweep":
-            _check_sim(self.sim, self.sweep_variable)
-        if self.scenario == "misspecified":
-            _check_misspec(self.misspec)
+        if self.scenario == "dataset" and self.dataset["path"] is None:
+            raise DomainError("the 'dataset' scenario needs dataset.path")
+        section, check = {"hds-sweep": ("sim", _check_hds_trial),
+                          "misspecified": ("misspec", check_misspecified),
+                          "dataset": ("dataset", LabelSet)}[self.scenario]
+        given = {key: value for key, value in getattr(self, section).items()
+                 if key != self.sweep_variable}  # a swept key keeps its stand-in
+        _check_keys(section, given, _STAND_INS[section], check)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

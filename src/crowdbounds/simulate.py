@@ -107,14 +107,24 @@ def check_beta_shapes(a: float, b: float) -> None:
         raise DomainError("beta shape parameters must be positive and finite")
 
 
-def check_beta_sampler(num_workers: int, tol: float) -> None:
-    """Raise unless :func:`sample_workers_beta` can draw ``num_workers``
-    accuracies whose mean is within ``tol`` of a target: at least one
-    worker, and a positive tolerance."""
+def check_beta_prior(num_workers: int, a: float, b: float,
+                     target_mean: float | None, tol: float) -> tuple[float, float]:
+    """Raise unless :func:`sample_workers_beta` can draw from these values,
+    and return the shape ``a`` and the target mean that it draws with. The
+    shapes are checked after ``a`` moves to a given ``target_mean``."""
+    if target_mean is None:
+        check_beta_shapes(a, b)  # before a / (a + b)
+        target_mean = a / (a + b)
+    elif 0 < target_mean < 1:  # any other target is rejected below
+        a = b * target_mean / (1.0 - target_mean)
+    if not 0 < target_mean < 1:  # a prior's own mean may round to 0 or 1
+        raise DomainError("target mean must lie strictly inside (0, 1)")
+    check_beta_shapes(a, b)
     if not tol > 0:
         raise DomainError("tolerance must be positive")
     if num_workers < 1:
         raise DomainError("at least one worker is required")
+    return a, target_mean
 
 
 def sample_workers_beta(num_workers: int, a: float, b: float,
@@ -125,19 +135,12 @@ def sample_workers_beta(num_workers: int, a: float, b: float,
     A ``target_mean`` moves the prior to it: the shape ``a`` becomes
     ``b * target_mean / (1 - target_mean)``, so Beta(a, b) has that mean, and
     the given ``a`` is not read. Without one, Beta(a, b) is conditioned on its
-    own mean ``a / (a + b)``. Whole batches of ``num_workers`` draws are
+    own mean ``a / (a + b)``. :func:`check_beta_prior` rejects, before any
+    draw, what cannot be drawn. Whole batches of ``num_workers`` draws are
     rejected until the batch mean lands within ``tol`` of the target;
     resampling individual workers would distort the marginal distribution.
     """
-    if target_mean is None:
-        check_beta_shapes(a, b)  # before a / (a + b)
-        target_mean = a / (a + b)
-    elif 0 < target_mean < 1:  # any other target is rejected below
-        a = b * target_mean / (1.0 - target_mean)
-    if not 0 < target_mean < 1:  # a prior's own mean may round to 0 or 1
-        raise DomainError("target mean must lie strictly inside (0, 1)")
-    check_beta_shapes(a, b)
-    check_beta_sampler(num_workers, tol)
+    a, target_mean = check_beta_prior(num_workers, a, b, target_mean, tol)
     rng = derive_rng(seed, "worker-accuracies")
     for _ in range(max_batches):
         draws = rng.beta(a, b, size=num_workers)
@@ -201,11 +204,14 @@ def simulate_dataset(config: SimConfig) -> SimOutput:
 def check_misspecified(group1_size: int, group2_size: int, set1_size: int,
                        set2_size: int, accuracy_block, q: float) -> np.ndarray:
     """Raise unless :func:`make_misspecified_dataset` can draw from these
-    values: positive group and set sizes, a 2x2 block of accuracies in
-    [0, 1] and an assignment probability in (0, 1]. Returns the block as
-    floats."""
-    block = np.asarray(accuracy_block, dtype=float)
-    if block.shape != (2, 2):
+    values: positive group and set sizes, a 2x2 grid of accuracies in
+    [0, 1] (a ragged one is not a grid) and an assignment probability in
+    (0, 1]. Returns the block as floats."""
+    try:
+        block = np.asarray(accuracy_block, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        block = None
+    if block is None or block.shape != (2, 2):
         raise DimensionMismatch("accuracy block must be 2x2")
     if not ((block >= 0) & (block <= 1)).all():
         raise DomainError("block accuracies must lie in [0, 1]")

@@ -187,15 +187,22 @@ def test_zero_trials_exit_1_and_name_the_key(tmp_path, capsys):
     assert "trials must be at least 1, got 0" in err, err
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("M", 0, "at least one worker is required"),
-    ("N", 0, "dimensions must be positive (and classes >= 2)"),
-    ("L", 1, "at least two classes are required"),
-    ("q", 0, "assignment probabilities must lie in (0, 1]"),
-    ("beta_tol", 0, "tolerance must be positive")])
+@pytest.mark.parametrize("key, value, message, wbar", [
+    ("M", 0, "at least one worker is required", None),
+    ("N", 0, "dimensions must be positive (and classes >= 2)", None),
+    ("L", 1, "at least two classes are required", None),
+    ("q", 0, "assignment probabilities must lie in (0, 1]", None),
+    ("beta_tol", 0, "tolerance must be positive", None),
+    # A given wbar moves beta_a to beta_b * wbar / (1 - wbar), here past
+    # the largest float.
+    ("beta_b", 1e308, "beta shape parameters must be positive and finite",
+     0.7)])
 def test_a_sim_value_the_models_reject_exits_1_and_names_the_key(
-        tmp_path, capsys, key, value, message):
+        tmp_path, capsys, key, value, message, wbar):
     config = {**BASE, "sim": {**BASE["sim"], key: value}}
+    if wbar is not None:  # given, not swept
+        config.update(sweep={"variable": "none", "grid": [0.0]})
+        config["sim"]["wbar"] = wbar
     assert experiment(tmp_path, config, capsys) == (
         1, f"error: sim.{key}: {message}\n")
 
@@ -207,7 +214,8 @@ def test_a_sim_value_the_models_reject_exits_1_and_names_the_key(
     ("N2", 0, "group and set sizes must be positive"),
     ("block", [[0.9, 0.6]], "accuracy block must be 2x2"),
     ("block", [[0.9, 1.5], [0.5, 0.7]], "block accuracies must lie in [0, 1]"),
-    ("q", 0, "assignment probability must lie in (0, 1]")])
+    ("q", 0, "assignment probability must lie in (0, 1]"),
+    ("block", [[0.9, 0.6], [0.5]], "accuracy block must be 2x2")])
 def test_a_misspec_value_the_sampler_rejects_exits_1_and_names_the_key(
         tmp_path, capsys, key, value, message):
     config = {"scenario": "misspecified", "methods": ["mv"],
@@ -227,6 +235,16 @@ def test_a_dataset_label_set_the_model_rejects_exits_1_and_names_the_key(
               "dataset": {"path": str(tmp_path / "labels.csv"), **dataset}}
     assert experiment(tmp_path, config, capsys) == (
         1, f"error: dataset.{key}: {message}\n")
+
+
+def test_every_model_key_has_a_stand_in():
+    """The config check reads each key of a section at its stand-in until
+    it reaches it, so a key without one would go unchecked."""
+    from crowdbounds.harness import _STAND_INS
+    assert set(_STAND_INS) == {"sim", "misspec", "dataset"}
+    for section in ("sim", "misspec"):
+        assert set(_STAND_INS[section]) == set(CONFIG_KEYS[section][2])
+    assert set(_STAND_INS["dataset"]) <= set(CONFIG_KEYS["dataset"][2])
 
 
 def test_a_sim_value_the_sweep_replaces_is_not_checked(tmp_path, capsys):

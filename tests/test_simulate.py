@@ -389,14 +389,16 @@ def test_simulate_of_a_large_sparse_grid_stays_small(tmp_path):
     assert abs(labels - 20_000) < 4 * np.sqrt(20_000)
 
 
-@pytest.mark.parametrize("experiment", [
+@pytest.mark.parametrize("experiment, key", [
     # The sim checks' stand-in accuracies, and the sampler's batch.
-    '"sweep": {"variable": "wbar", "grid": [0.7]}, "sim": {"M": 1e15}',
-    '"sweep": {"variable": "M", "grid": [1e15]}, "sim": {}',
-    None], ids=["sim.M", "swept M", "simulate --workers"])
-def test_a_size_no_machine_holds_exits_1(tmp_path, experiment):
+    ('"sweep": {"variable": "wbar", "grid": [0.7]}, "sim": {"M": 1e15}',
+     "sim.M: "),
+    ('"sweep": {"variable": "M", "grid": [1e15]}, "sim": {}', ""),
+    (None, "")], ids=["sim.M", "swept M", "simulate --workers"])
+def test_a_size_no_machine_holds_exits_1(tmp_path, experiment, key):
     """A numpy array of 10^15 floats (7.11 PiB) fails to allocate, which is
-    an input error, not an unexpected failure."""
+    an input error, not an unexpected failure; the config check names the
+    key whose value it failed at."""
     if experiment is None:
         argv = ["simulate", "--workers", str(10 ** 15), "--items", "3",
                 "--out-labels", str(tmp_path / "labels.csv")]
@@ -408,4 +410,4 @@ def test_a_size_no_machine_holds_exits_1(tmp_path, experiment):
                 "--out", str(tmp_path / "run")]
     done = cli_in_1_gib(*argv)
     assert done.returncode == 1, done.stderr
-    assert "Unable to allocate" in done.stderr
+    assert f"error: {key}Unable to allocate" in done.stderr
