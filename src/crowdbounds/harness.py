@@ -651,7 +651,7 @@ def _check_hds_trial(M, N, L, q, tol, wbar, a, b) -> None:
     """Raise as an hds-sweep trial with these sim values would, before it
     draws: the sampler's Beta prior, then the models."""
     check_beta_prior(M, a, b, wbar, tol)
-    model = WorkerModel.hds(np.full(M, 0.5), L)  # before Prior.uniform(L)
+    model = WorkerModel.hds(np.full(M, 0.5), L)  # its L < 2 message first
     SimConfig(M, N, L, Prior.uniform(L), AssignmentModel.constant(q), model)
 
 

@@ -410,4 +410,4 @@ def test_a_size_no_machine_holds_exits_1(tmp_path, experiment, key):
                 "--out", str(tmp_path / "run")]
     done = cli_in_1_gib(*argv)
     assert done.returncode == 1, done.stderr
-    assert f"error: {key}Unable to allocate" in done.stderr
+    assert f"{key}Unable to allocate" in done.stderr
