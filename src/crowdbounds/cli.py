@@ -22,6 +22,8 @@ from .harness import (
     METHODS,
     ExperimentConfig,
     REQUIRED,
+    _check_hds_trial,
+    _check_keys,
     check_json,
     load_labels,
     load_truth,
@@ -71,14 +73,33 @@ def _write_csv(path, header: str, row: str, *columns):
                 for part in chunk))))
 
 
+# Valid values of the flags that simulate reads, in the order that
+# _check_keys checks them; --accuracies None stands for the Beta sampler.
+_SIMULATE_STAND_INS = {"workers": 1, "items": 1, "classes": 2, "q": 1.0,
+                       "accuracies": None, "tol": 1.0, "target-mean": 0.5,
+                       "beta-a": 1.0, "beta-b": 1.0}
+
+
+def _check_simulate(M, N, L, q, accuracies, tol, target_mean, a, b) -> None:
+    """Raise as ``simulate`` with these values would, before it draws."""
+    if accuracies is None:
+        check_beta_shapes(a, b)  # as given, even where a target replaces a
+        _check_hds_trial(M, N, L, q, tol, target_mean, a, b)
+    elif accuracies.size != M:
+        raise DomainError("need one accuracy per worker")
+    else:  # M, N, L and q are checked at the keys before it
+        WorkerModel.hds(accuracies, L)
+
+
 def _cmd_simulate(args) -> int:
+    accuracies = (np.array([float(x) for x in args.accuracies.split(",")])
+                  if args.accuracies else None)
+    flags = (args.workers, args.items, args.classes, args.q, accuracies,
+             args.tol, args.target_mean, args.beta_a, args.beta_b)
+    _check_keys("--", dict(zip(_SIMULATE_STAND_INS, flags)),
+                _SIMULATE_STAND_INS, _check_simulate)
     label_set = LabelSet(args.classes, args.binary)
-    if args.accuracies:
-        accuracies = np.array([float(x) for x in args.accuracies.split(",")])
-        if accuracies.size != args.workers:
-            raise DomainError("need one accuracy per worker")
-    else:
-        check_beta_shapes(args.beta_a, args.beta_b)  # as given, even if unread
+    if accuracies is None:
         accuracies = sample_workers_beta(args.workers, args.beta_a, args.beta_b,
                                          args.target_mean, tol=args.tol,
                                          seed=args.seed)

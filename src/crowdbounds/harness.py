@@ -57,7 +57,6 @@ from .core import (
 from .em import EmConfig, em_fit_many, em_map_predict
 from .simulate import (
     SimConfig,
-    cell_uniforms,
     check_beta_prior,
     check_misspecified,
     derive_rng,
@@ -386,13 +385,11 @@ def load_truth(path, label_set: LabelSet,
 
 def subsample_labels(labels: LabelMatrix, keep_prob: float,
                      seed: int = 0) -> LabelMatrix:
-    """Keep every observed label independently with the given probability."""
+    """Keep every observed label independently with the given probability,
+    by one uniform per label in the order of the triples."""
     if not 0 <= keep_prob <= 1:
         raise DomainError("keep probability must lie in [0, 1]")
-    # One uniform per grid cell, whichever cells are observed.
-    keep = cell_uniforms(derive_rng(seed, "subsample"),
-                         labels.workers * labels.num_items + labels.items,
-                         (labels.num_workers, labels.num_items)) < keep_prob
+    keep = derive_rng(seed, "subsample").random(labels.num_labels) < keep_prob
     return LabelMatrix(labels.workers[keep], labels.items[keep],
                        labels.labels[keep], labels.num_workers,
                        labels.num_items, labels.num_classes)
@@ -655,21 +652,21 @@ def _check_hds_trial(M, N, L, q, tol, wbar, a, b) -> None:
     SimConfig(M, N, L, Prior.uniform(L), AssignmentModel.constant(q), model)
 
 
-def _check_keys(section: str, values: dict, stand_ins: dict, check) -> None:
+def _check_keys(prefix: str, values: dict, stand_ins: dict, check) -> None:
     """Call ``check`` with one argument per key of ``stand_ins``, in order,
     once per key: that key and the keys before it at ``values`` (a key not
     in ``values`` keeps its stand-in), the keys after it at their
-    stand-ins. The first error is raised again as ``section.key: message``,
-    naming the key it was checked at."""
+    stand-ins. The first error is raised again as ``<prefix><key>: message``
+    (``sim.M: ...``, ``--workers: ...``), naming the key it was checked at."""
     args = dict(stand_ins)
     for key in stand_ins:
         args[key] = values.get(key, args[key])
         try:
             check(*args.values())
         except ValueError as exc:
-            raise type(exc)(f"{section}.{key}: {exc}") from None
+            raise type(exc)(f"{prefix}{key}: {exc}") from None
         except MemoryError as exc:  # numpy's subclass takes other arguments
-            raise MemoryError(f"{section}.{key}: {exc}") from None
+            raise MemoryError(f"{prefix}{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -733,6 +730,10 @@ class ExperimentConfig:
         for wbar in (*wbars, self.sim["wbar"]):
             if wbar is not None and not 0 < wbar < 1:
                 raise DomainError(f"wbar must lie in (0, 1), got {wbar!r}")
+        for wbar in wbars:  # each moves beta_a to beta_b * wbar / (1 - wbar)
+            _check_keys("sim.", {"beta_b": self.sim["beta_b"]}, {"beta_b": 1.0},
+                        partial(check_beta_prior, 1, 1.0, target_mean=wbar,
+                                tol=1.0))
         if self.scenario == "dataset" and self.dataset["path"] is None:
             raise DomainError("the 'dataset' scenario needs dataset.path")
         section, check = {"hds-sweep": ("sim", _check_hds_trial),
@@ -740,7 +741,7 @@ class ExperimentConfig:
                           "dataset": ("dataset", LabelSet)}[self.scenario]
         given = {key: value for key, value in getattr(self, section).items()
                  if key != self.sweep_variable}  # a swept key keeps its stand-in
-        _check_keys(section, given, _STAND_INS[section], check)
+        _check_keys(f"{section}.", given, _STAND_INS[section], check)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

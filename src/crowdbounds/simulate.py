@@ -37,67 +37,38 @@ def derive_rng(master_seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-_DRAW_BLOCK = 1 << 16  # most uniforms a sampler holds at once
+_GAP_BLOCK = 1 << 16  # most gaps the mask walk draws at once
 
 
-def _uniform_blocks(rng: np.random.Generator, shape: tuple[int, int]):
-    """Yield ``(first, cells, draws)`` for one grid of uniforms of ``shape``,
-    at most :data:`_DRAW_BLOCK` at a time: ``draws`` holds the grid slice
-    ``cells``, whole rows or part of one row, so its flat cells are ``first,
-    first + 1, ...``. A generator fills an array in C order from one stream,
-    so these are the numbers of the whole grid drawn at once, each fixed by
-    the seed alone. The next block overwrites ``draws``."""
-    M, N = shape
-    rows, width = max(1, _DRAW_BLOCK // N), min(N, _DRAW_BLOCK)
-    buffer = np.empty(min(M, rows) * width)
-    for row in range(0, M, rows):
-        for column in range(0, N, width):
-            height, length = min(rows, M - row), min(width, N - column)
-            draws = rng.random(out=buffer[:height * length].reshape(height, length))
-            yield row * N + column, np.s_[row:row + rows, column:column + width], draws
+def _observed_cells(rng: np.random.Generator, probs: np.ndarray,
+                    top: float) -> np.ndarray:
+    """The ascending flat cells of an (M, N) grid, each drawn independently
+    with its chance in ``probs``, of which ``top`` is the largest.
 
-
-def _observed_cells(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """The ascending flat cells of ``probs`` whose uniform lies below it."""
-    return np.concatenate([np.flatnonzero(draws < probs[cells]) + first
-                           for first, cells, draws in _uniform_blocks(rng, probs.shape)])
-
-
-# A draw of the bit generator takes about 3.5 ns and an advance of it about
-# 2 us: a block of uniforms is drawn whole when it holds more wanted cells
-# than its size over this, and each of its cells is advanced to otherwise.
-_ADVANCE_DRAWS = 600
-
-
-def cell_uniforms(rng: np.random.Generator, cells: np.ndarray,
-                  shape: tuple[int, int]) -> np.ndarray:
-    """The uniforms of the ascending flat ``cells`` of one grid of ``shape``.
-
-    The grid's uniforms are one stream in C order (:func:`_uniform_blocks`),
-    and PCG64 (the bit generator of :func:`derive_rng`, which ``rng`` must
-    have) spends one 64-bit output on each, so cell c's is the c-th draw.
-    A block of :data:`_DRAW_BLOCK` draws that holds few of ``cells`` is not
-    drawn: the generator advances to each of its cells and draws that one.
-    Either way the generator ends where drawing the whole grid leaves it,
-    with the same numbers."""
-    out = np.empty(cells.size)
-    bits, drawn, total = rng.bit_generator, 0, shape[0] * shape[1]
-    lo = 0
-    while lo < cells.size:  # a block that holds cells[lo:hi]
-        first = int(cells[lo]) // _DRAW_BLOCK * _DRAW_BLOCK
-        size = min(_DRAW_BLOCK, total - first)
-        hi = int(np.searchsorted(cells, first + size))
-        if (hi - lo) * _ADVANCE_DRAWS > size:
-            bits.advance(first - drawn)
-            out[lo:hi] = rng.random(size)[cells[lo:hi] - first]
-            drawn = first + size
-        else:
-            for k, cell in enumerate(cells[lo:hi].tolist(), lo):
-                bits.advance(cell - drawn)
-                out[k], drawn = rng.random(), cell + 1
-        lo = hi
-    bits.advance(total - drawn)
-    return out
+    The walk visits each cell with chance ``top``: the gaps between visits
+    are geometric, one exponential each, drawn in blocks sized by the
+    expected number of visits left (at most :data:`_GAP_BLOCK`). A gap that
+    reaches past the grid ends the walk, however large it is. A visited
+    cell whose chance lies below ``top`` is kept with chance
+    ``probs[cell] / top``, by one uniform; the others take no draw. So the
+    draws scale with the labels, not with M x N."""
+    total, last, blocks = probs.size, -1, []
+    # A rate of inf (top 1) makes every gap 0; a tiny top, gaps of inf.
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = -np.log1p(-top)
+        while True:
+            size = int(min(_GAP_BLOCK, (total - 1 - last) * top)) + 1
+            gaps = np.floor(rng.standard_exponential(size) / rate)
+            cells = last + np.cumsum(np.minimum(gaps, total).astype(np.int64) + 1)
+            blocks.append(cells[:np.searchsorted(cells, total)])
+            if blocks[-1].size < size:
+                break
+            last = int(cells[-1])
+    cells = np.concatenate(blocks)
+    chance = probs[np.divmod(cells, probs.shape[1])] / top
+    thin = chance < 1
+    thin[thin] = rng.random(np.count_nonzero(thin)) >= chance[thin]
+    return cells[~thin]
 
 
 def check_beta_shapes(a: float, b: float) -> None:
@@ -186,15 +157,19 @@ def simulate_dataset(config: SimConfig) -> SimOutput:
     """Sample ground truth, the observation mask and the noisy labels.
 
     Truth is i.i.d. from the prior; each cell is observed independently with
-    its assignment probability; an observed label is drawn from the row of
-    the worker's confusion table selected by the item's true class.
+    its assignment probability (:func:`_observed_cells`); an observed label
+    is drawn, by one uniform in cell order, from the row of the worker's
+    confusion table selected by the item's true class. The draws come in
+    that order, so at a fixed seed the mask does not depend on the worker
+    model.
     """
     rng = derive_rng(config.seed, "simulate")
     M, N, L = config.num_workers, config.num_items, config.num_classes
     truth = rng.choice(np.arange(1, L + 1), size=N, p=config.prior.probs)
-    cells = _observed_cells(rng, config.assignment.full(M, N))
+    cells = _observed_cells(rng, config.assignment.full(M, N),
+                            float(np.max(config.assignment.value)))
     workers, items = np.divmod(cells, N)
-    draws = cell_uniforms(rng, cells, (M, N))
+    draws = rng.random(cells.size)
     cdf = np.cumsum(config.worker_model.as_gds(), axis=2)[workers, truth[items] - 1]
     sampled = (draws[:, None] > cdf).sum(axis=1) + 1
     np.minimum(sampled, L, out=sampled)  # guard against cumsum rounding
@@ -229,7 +204,8 @@ def make_misspecified_dataset(group1_size: int, group2_size: int,
 
     Workers split into two groups and items into two sets; a worker labels an
     observed item correctly with the probability from the 2x2 block, so no
-    single per-worker accuracy explains the data.
+    single per-worker accuracy explains the data. Truth, the mask
+    (:func:`_observed_cells`) and one uniform per label are drawn in turn.
     """
     block = check_misspecified(group1_size, group2_size, set1_size, set2_size,
                                accuracy_block, q)
@@ -237,10 +213,10 @@ def make_misspecified_dataset(group1_size: int, group2_size: int,
     M = group1_size + group2_size
     N = set1_size + set2_size
     truth = rng.integers(1, 3, size=N)
-    cells = _observed_cells(rng, np.broadcast_to(q, (M, N)))
+    cells = _observed_cells(rng, np.broadcast_to(q, (M, N)), q)
     workers, items = np.divmod(cells, N)
     accuracy = block[(workers >= group1_size).astype(int),
                      (items >= set1_size).astype(int)]
-    correct = cell_uniforms(rng, cells, (M, N)) < accuracy
+    correct = rng.random(cells.size) < accuracy
     labels = np.where(correct, truth[items], 3 - truth[items])
     return SimOutput(truth, LabelMatrix(workers, items, labels, M, N, 2))

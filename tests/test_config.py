@@ -194,9 +194,11 @@ def test_zero_trials_exit_1_and_name_the_key(tmp_path, capsys):
     ("q", 0, "assignment probabilities must lie in (0, 1]", None),
     ("beta_tol", 0, "tolerance must be positive", None),
     # A given wbar moves beta_a to beta_b * wbar / (1 - wbar), here past
-    # the largest float.
+    # the largest float, and so does BASE's swept wbar of 0.7.
     ("beta_b", 1e308, "beta shape parameters must be positive and finite",
-     0.7)])
+     0.7),
+    ("beta_b", 1e308, "beta shape parameters must be positive and finite",
+     None)])
 def test_a_sim_value_the_models_reject_exits_1_and_names_the_key(
         tmp_path, capsys, key, value, message, wbar):
     config = {**BASE, "sim": {**BASE["sim"], key: value}}

@@ -1,8 +1,12 @@
-"""The runtime depends on numpy and the standard library only, and importing
-the command line loads no process-pool machinery."""
+"""The runtime depends on numpy and the standard library only, importing
+the command line loads no process-pool machinery, and the sources keep
+their layout and their docstring references sound."""
 
 import ast
+import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +14,9 @@ from pathlib import Path
 SRC = Path(__file__).parent.parent / "src"
 SOURCES = sorted((SRC / "crowdbounds").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+MODULES = [importlib.import_module("crowdbounds" if path.stem == "__init__"
+                                   else f"crowdbounds.{path.stem}")
+           for path in SOURCES]
 
 
 def test_sources_import_only_numpy_and_the_standard_library():
@@ -91,3 +98,37 @@ def test_top_level_definitions_follow_two_blank_lines():
                 crowded.append(f"{path.name}:{first + 1} has {blank} blank "
                                f"lines before it")
     assert not crowded, crowded
+
+
+def _resolves(module, role: str, target: str) -> bool:
+    """Whether ``target`` names something from ``module``: a name of it or
+    of another crowdbounds module, then its attributes (``Class.method``),
+    a standard-library name such as ``csv.writer``, or for a bare
+    ``:meth:`` a method of one of the module's classes."""
+    head, *rest = target.split(".")
+    owners = [module, *MODULES]
+    if role == "meth" and not rest:
+        owners += [value for value in vars(module).values()
+                   if inspect.isclass(value)]
+    found = [getattr(owner, head) for owner in owners if hasattr(owner, head)]
+    if not found and head in sys.stdlib_module_names:
+        found = [importlib.import_module(head)]
+    for name in rest:
+        found = [getattr(obj, name) for obj in found if hasattr(obj, name)]
+    return bool(found)
+
+
+def test_docstring_references_resolve():
+    """Every ``:func:``, ``:data:``, ``:meth:`` and ``:class:`` reference
+    in the sources is one backquoted name, and that name exists, so a
+    renamed or deleted definition cannot leave a stale reference behind."""
+    broken = []
+    for path, module in zip(SOURCES, MODULES):
+        text = path.read_text()
+        for match in re.finditer(r":(func|data|meth|class):(`~?([\w.]+)`)?",
+                                 text):
+            role, _, target = match.groups()
+            if target is None or not _resolves(module, role, target):
+                line = text.count("\n", 0, match.start()) + 1
+                broken.append(f"{path.name}:{line} {match[0]}")
+    assert not broken, broken

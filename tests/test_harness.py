@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crowdbounds import harness, simulate
+from crowdbounds import harness
 from crowdbounds.core import DomainError, EmptyMatrix, LabelMatrix, LabelSet
 from crowdbounds.harness import (
     KNOWN_METHODS,
@@ -167,6 +167,17 @@ class TestTruthAndSubsample:
         sigma = np.sqrt(1221 * 0.25)
         assert abs(kept - 610.5) <= 4 * sigma
 
+    def test_subsample_draws_one_uniform_per_label_in_triple_order(self):
+        rng = np.random.default_rng(5)
+        grid = rng.integers(1, 4, (37, 101)) * (rng.random((37, 101)) < 0.2)
+        labels = LabelMatrix.from_dense(grid, 3)
+        keep = harness.derive_rng(12, "subsample").random(labels.num_labels) < 0.4
+        kept = subsample_labels(labels, 0.4, seed=12)
+        for got, want in ((kept.workers, labels.workers),
+                          (kept.items, labels.items),
+                          (kept.labels, labels.labels)):
+            assert np.array_equal(got, want[keep])
+
     def test_subsample_determinism(self, tmp_path):
         path = tmp_path / "labels.csv"
         make_fixture(path, 6, 30, 100, 3, seed=3)
@@ -182,20 +193,6 @@ class TestTruthAndSubsample:
         before = summarize_dataset(labels)
         after = summarize_dataset(subsample_labels(labels, 1.0, seed=0))
         assert before.to_dict() == after.to_dict()
-
-    @pytest.mark.parametrize("block", [1, 7, 101, 1000, 1 << 20])
-    def test_subsample_blocks_draw_the_whole_grid_s_numbers(self, monkeypatch,
-                                                             block):
-        """Drawn in blocks of cells, split anywhere in a row, the uniforms
-        are those of one (workers, items) grid drawn at once."""
-        rng = np.random.default_rng(block)
-        grid = rng.integers(1, 4, (37, 101)) * (rng.random((37, 101)) < 0.2)
-        labels = LabelMatrix.from_dense(grid, 3)
-        monkeypatch.setattr(simulate, "_DRAW_BLOCK", block)
-        kept = subsample_labels(labels, 0.4, seed=12)
-        draws = harness.derive_rng(12, "subsample").random((37, 101))
-        expected = LabelMatrix.from_dense(np.where(draws < 0.4, grid, 0), 3)
-        assert np.array_equal(kept.dense(), expected.dense())
 
     def test_subsample_of_a_large_sparse_grid_stays_small(self, tmp_path):
         """``summarize --subsample`` on 20,000 x 20,000 cells (40,000 labels)

@@ -158,6 +158,42 @@ class TestSimulateDataset:
         rates = (out.labels.dense() != 0).mean(axis=1)
         assert abs(rates[0] - 0.2) < 0.025 and abs(rates[1] - 0.8) < 0.025
 
+    def test_per_worker_counts_are_binomial(self):
+        q, N = np.array([1.0, 0.6, 0.3, 0.1, 0.01, 0.001]), 20_000
+        config = SimConfig(q.size, N, 2, Prior.uniform(2),
+                           AssignmentModel.vector(q),
+                           WorkerModel.hds(np.full(q.size, 0.7), 2), seed=4)
+        counts = np.bincount(simulate_dataset(config).labels.workers,
+                             minlength=q.size)
+        # A q of 1 labels every item: its sd is 0.
+        assert (np.abs(counts - N * q) <= 4 * np.sqrt(N * q * (1 - q))).all()
+
+    @pytest.mark.parametrize("assignment", [
+        AssignmentModel.constant(0.05),
+        AssignmentModel.vector(np.linspace(0.02, 0.08, 40))])
+    def test_positions_are_uniform_within_rows(self, assignment):
+        M, N, bins = 40, 10_000, 20
+        config = SimConfig(M, N, 2, Prior.uniform(2), assignment,
+                           WorkerModel.hds(np.full(M, 0.7), 2), seed=8)
+        labels = simulate_dataset(config).labels
+        counts = np.bincount(labels.workers * bins + labels.items * bins // N,
+                             minlength=M * bins).reshape(M, bins)
+        expected = counts.sum(axis=1, keepdims=True) / bins
+        chi2 = ((counts - expected) ** 2 / expected).sum()
+        # M * (bins - 1) = 760 degrees of freedom: mean 760, sd 39.
+        assert abs(chi2 - 760) < 4 * 39, chi2
+
+    def test_matrix_assignment_keeps_each_cell_s_rate(self):
+        probs = np.random.default_rng(0).choice([0.05, 0.3, 1.0], (30, 4000))
+        config = SimConfig(30, 4000, 2, Prior.uniform(2),
+                           AssignmentModel.matrix(probs),
+                           WorkerModel.hds(np.full(30, 0.7), 2), seed=7)
+        observed = simulate_dataset(config).labels.dense() != 0
+        for p in (0.05, 0.3, 1.0):
+            cells = probs == p
+            assert abs(observed[cells].mean() - p) <= 4 * np.sqrt(
+                p * (1 - p) / cells.sum())
+
 
 class TestMisspecifiedDataset:
     def test_reference_block_configuration_runs(self):
@@ -227,6 +263,7 @@ def test_nan_model_values_are_out_of_range(make):
         make()
 
 
+# The first option is the flag that the error names.
 @pytest.mark.parametrize("options, quantity", [
     (["--q", "nan"], "assignment probabilities"),
     (["--accuracies", "nan,0.7,0.8"], "accuracies"),
@@ -238,6 +275,10 @@ def test_nan_model_values_are_out_of_range(make):
     (["--beta-b", "inf"], "beta shape parameters"),
     (["--beta-a", "inf", "--target-mean", "0.6"], "beta shape parameters"),
     (["--beta-b", "inf", "--target-mean", "0.6"], "beta shape parameters"),
+    (["--q", "0"], "assignment probabilities"),
+    (["--workers", "0"], "at least one worker"),
+    # A given target moves a to b * 0.7 / 0.3, here past the largest float.
+    (["--beta-b", "1e308", "--target-mean", "0.7"], "beta shape parameters"),
 ])
 def test_simulate_rejects_nan_options_at_once(tmp_path, capsys, options,
                                               quantity):
@@ -245,106 +286,9 @@ def test_simulate_rejects_nan_options_at_once(tmp_path, capsys, options,
     code = main(["simulate", "--workers", "3", "--items", "5", *options,
                  "--out-labels", str(out)])
     err = capsys.readouterr().err
-    assert code == 1 and quantity in err, err
+    assert code == 1 and err.startswith(f"error: {options[0]}: "), err
+    assert quantity in err, err
     assert not out.exists()
-
-
-def whole_grid_simulate(config):
-    """``simulate_dataset`` drawing each grid of uniforms whole: the
-    reference of the block draws."""
-    rng = derive_rng(config.seed, "simulate")
-    M, N, L = config.num_workers, config.num_items, config.num_classes
-    truth = rng.choice(np.arange(1, L + 1), size=N, p=config.prior.probs)
-    probs = config.assignment.full(M, N)
-    workers, items = np.nonzero(rng.random((M, N)) < probs)
-    draws = rng.random((M, N))[workers, items]
-    cdf = np.cumsum(config.worker_model.as_gds(), axis=2)[workers, truth[items] - 1]
-    sampled = (draws[:, None] > cdf).sum(axis=1) + 1
-    np.minimum(sampled, L, out=sampled)
-    return truth, workers, items, sampled
-
-
-def whole_grid_misspecified(group1_size, group2_size, set1_size, set2_size,
-                            block, q, seed):
-    """``make_misspecified_dataset`` drawing each grid whole."""
-    block = np.asarray(block, dtype=float)
-    rng = derive_rng(seed, "misspecified")
-    M = group1_size + group2_size
-    N = set1_size + set2_size
-    truth = rng.integers(1, 3, size=N)
-    workers, items = np.nonzero(rng.random((M, N)) < q)
-    accuracy = block[(workers >= group1_size).astype(int),
-                     (items >= set1_size).astype(int)]
-    correct = rng.random((M, N))[workers, items] < accuracy
-    return truth, workers, items, np.where(correct, truth[items], 3 - truth[items])
-
-
-def triples(out):
-    labels = out.labels
-    return out.truth, labels.workers, labels.items, labels.labels
-
-
-class TestBlockDraws:
-    """Drawn in blocks of any size, split anywhere in a row, the samplers'
-    uniforms are those of whole grids, so truth and triples are too."""
-
-    M, N, L = 13, 50, 3
-    BLOCKS = [1, 7, 101, N - 1, N + 1, 1 << 20]
-
-    @pytest.mark.parametrize("block", BLOCKS)
-    @pytest.mark.parametrize("kind", ["constant", "vector", "matrix"])
-    def test_simulate_dataset(self, monkeypatch, block, kind):
-        rng = np.random.default_rng(block)
-        probs = {"constant": 0.3,
-                 "vector": rng.uniform(0.05, 1.0, self.M),
-                 "matrix": rng.uniform(0.05, 1.0, (self.M, self.N))}[kind]
-        config = SimConfig(self.M, self.N, self.L, Prior([0.2, 0.3, 0.5]),
-                           AssignmentModel(kind, probs),
-                           WorkerModel.hds(rng.uniform(0.3, 1, self.M), self.L),
-                           seed=block)
-        monkeypatch.setattr(simulate, "_DRAW_BLOCK", block)
-        for got, want in zip(triples(simulate_dataset(config)),
-                             whole_grid_simulate(config)):
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_misspecified_dataset(self, monkeypatch, block):
-        args = (5, 8, 20, 30, [[0.9, 0.6], [0.5, 0.7]], 0.4, block)
-        monkeypatch.setattr(simulate, "_DRAW_BLOCK", block)
-        for got, want in zip(triples(make_misspecified_dataset(*args)),
-                             whole_grid_misspecified(*args)):
-            assert np.array_equal(got, want)
-
-
-def wanted_cells(kind, total: int) -> np.ndarray:
-    """Ascending cells of a grid of ``total`` cells: none, each block's
-    first and last, a whole block among a few sparse cells, or each cell
-    with the chance ``kind``."""
-    block = simulate._DRAW_BLOCK
-    if kind == "none":
-        return np.empty(0, np.int64)
-    if kind == "block edges":
-        starts = np.arange(0, total, block)
-        return np.unique(np.r_[starts, np.minimum(starts + block, total) - 1])
-    if kind == "dense and sparse blocks":
-        return np.r_[5, 7, np.arange(block, 2 * block), total - 1]
-    return np.flatnonzero(np.random.default_rng(3).random(total) < kind)
-
-
-@pytest.mark.parametrize("shape", [(4, 1 << 16), (3, 50_000)])
-@pytest.mark.parametrize("kind", ["none", "block edges",
-                                  "dense and sparse blocks", 1e-5, 1e-2, 1.0])
-def test_cell_uniforms_are_the_whole_grid_s_where_blocks_are_skipped(shape,
-                                                                     kind):
-    """A block with few wanted cells is advanced through cell by cell, an
-    empty one at once: the uniforms are those of the whole grid drawn, and
-    the generator ends where drawing the whole grid leaves it."""
-    total = shape[0] * shape[1]
-    cells = wanted_cells(kind, total)
-    rng, whole = derive_rng(21, "cells"), derive_rng(21, "cells")
-    assert np.array_equal(simulate.cell_uniforms(rng, cells, shape),
-                          whole.random(total)[cells])
-    assert rng.random() == whole.random()
 
 
 def test_samplers_hold_one_block_of_uniforms():
@@ -364,16 +308,16 @@ def test_samplers_hold_one_block_of_uniforms():
         assert peak < 24e6, peak
 
 
-def cli_in_1_gib(*argv) -> subprocess.CompletedProcess:
+def cli_in_1_gib(*argv, timeout=120) -> subprocess.CompletedProcess:
     """Run ``crowdbounds`` with ``argv`` in a child process whose address
-    space is limited to 1 GiB."""
+    space is limited to 1 GiB, for at most ``timeout`` seconds."""
     child = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
              "from crowdbounds.cli import main\n"
              "sys.exit(main(sys.argv[1:]))\n")
     src = str(Path(simulate.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", child, *argv],
-                          capture_output=True, text=True, timeout=120,
+                          capture_output=True, text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": src})
 
 
@@ -389,16 +333,37 @@ def test_simulate_of_a_large_sparse_grid_stays_small(tmp_path):
     assert abs(labels - 20_000) < 4 * np.sqrt(20_000)
 
 
+def test_simulate_time_scales_with_labels_not_cells(tmp_path):
+    """10^11 cells at q = 10^-7 (about 10,000 labels) take well under a
+    second: the mask walk draws per label, not per cell."""
+    done = cli_in_1_gib("simulate", "--workers", "100000", "--items",
+                        "1000000", "--q", "1e-7", "--classes", "3",
+                        "--out-labels", str(tmp_path / "labels.csv"),
+                        timeout=20)
+    assert done.returncode == 0, done.stderr
+    labels = json.loads(done.stdout)["labels"]
+    assert abs(labels - 10_000) < 4 * np.sqrt(10_000)
+
+
+@pytest.mark.parametrize("q", ["1e-300", "5e-324"])
+def test_a_tiny_q_draws_no_label(tmp_path, q):
+    """A gap past the grid's end ends the mask walk, however large."""
+    out = tmp_path / "labels.csv"
+    assert main(["simulate", "--workers", "30", "--items", "40", "--q", q,
+                 "--out-labels", str(out)]) == 0
+    assert out.read_text() == "worker,item,label\n"
+
+
 @pytest.mark.parametrize("experiment, key", [
     # The sim checks' stand-in accuracies, and the sampler's batch.
     ('"sweep": {"variable": "wbar", "grid": [0.7]}, "sim": {"M": 1e15}',
      "sim.M: "),
     ('"sweep": {"variable": "M", "grid": [1e15]}, "sim": {}', ""),
-    (None, "")], ids=["sim.M", "swept M", "simulate --workers"])
+    (None, "--workers: ")], ids=["sim.M", "swept M", "simulate --workers"])
 def test_a_size_no_machine_holds_exits_1(tmp_path, experiment, key):
     """A numpy array of 10^15 floats (7.11 PiB) fails to allocate, which is
     an input error, not an unexpected failure; the config check names the
-    key whose value it failed at."""
+    key, and simulate's check the flag, whose value it failed at."""
     if experiment is None:
         argv = ["simulate", "--workers", str(10 ** 15), "--items", "3",
                 "--out-labels", str(tmp_path / "labels.csv")]
