@@ -16,14 +16,16 @@ import numpy as np
 
 from . import bounds as bnd
 from .core import (AssignmentModel, DecomposableRule, DimensionMismatch,
-                   DomainError, LabelSet, Prior, WorkerModel, error_rate)
+                   DomainError, LabelSet, WorkerModel, error_rate)
 from .harness import (
     LABEL_FORMATS,
     METHODS,
     ExperimentConfig,
     REQUIRED,
+    _STAND_INS,
     _check_hds_trial,
     _check_keys,
+    _hds_trial_data,
     check_json,
     load_labels,
     load_truth,
@@ -32,8 +34,7 @@ from .harness import (
     summarize_dataset,
     summarize_rows,
 )
-from .simulate import (SimConfig, check_beta_shapes, sample_workers_beta,
-                       simulate_dataset)
+from .simulate import check_beta_shapes
 
 
 class UsageError(ValueError):
@@ -51,6 +52,15 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _numbers(text: str) -> np.ndarray:
+    """An ``--accuracies`` value: comma-separated numbers."""
+    try:
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 _WRITE_ROWS = 1 << 14  # rows the CSV writer formats at once
@@ -73,50 +83,36 @@ def _write_csv(path, header: str, row: str, *columns):
                 for part in chunk))))
 
 
-# Valid values of the flags that simulate reads, in the order that
-# _check_keys checks them; --accuracies None stands for the Beta sampler.
-_SIMULATE_STAND_INS = {"workers": 1, "items": 1, "classes": 2, "q": 1.0,
-                       "accuracies": None, "tol": 1.0, "target-mean": 0.5,
-                       "beta-a": 1.0, "beta-b": 1.0}
+# simulate's flags, in _check_keys order, and the sim key whose stand-in
+# each takes; --accuracies and --binary take None: the Beta sampler, no +/-1.
+_SIMULATE_KEYS = {"workers": "M", "items": "N", "classes": "L", "q": "q",
+                  "accuracies": None, "tol": "beta_tol", "target-mean": "wbar",
+                  "beta-a": "beta_a", "beta-b": "beta_b", "binary": None}
 
 
-def _check_simulate(M, N, L, q, accuracies, tol, target_mean, a, b) -> None:
+def _check_simulate(M, N, L, q, accuracies, tol, wbar, a, b, binary) -> None:
     """Raise as ``simulate`` with these values would, before it draws."""
     if accuracies is None:
         check_beta_shapes(a, b)  # as given, even where a target replaces a
-        _check_hds_trial(M, N, L, q, tol, target_mean, a, b)
-    elif accuracies.size != M:
-        raise DomainError("need one accuracy per worker")
-    else:  # M, N, L and q are checked at the keys before it
-        WorkerModel.hds(accuracies, L)
+    _check_hds_trial(M, N, L, q, tol, wbar, a, b, accuracies)
+    LabelSet(L, binary)
 
 
 def _cmd_simulate(args) -> int:
-    accuracies = (np.array([float(x) for x in args.accuracies.split(",")])
-                  if args.accuracies else None)
-    flags = (args.workers, args.items, args.classes, args.q, accuracies,
-             args.tol, args.target_mean, args.beta_a, args.beta_b)
-    _check_keys("--", dict(zip(_SIMULATE_STAND_INS, flags)),
-                _SIMULATE_STAND_INS, _check_simulate)
+    flags = {f: getattr(args, f.replace("-", "_")) for f in _SIMULATE_KEYS}
+    _check_keys("--", flags, {flag: _STAND_INS["sim"].get(key) for flag, key
+                              in _SIMULATE_KEYS.items()}, _check_simulate)
+    labels, truth, accuracies, _ = _hds_trial_data(
+        {key: flags[flag] for flag, key in _SIMULATE_KEYS.items() if key},
+        args.seed, args.accuracies)
     label_set = LabelSet(args.classes, args.binary)
-    if accuracies is None:
-        accuracies = sample_workers_beta(args.workers, args.beta_a, args.beta_b,
-                                         args.target_mean, tol=args.tol,
-                                         seed=args.seed)
-    config = SimConfig(args.workers, args.items, args.classes,
-                       Prior.uniform(args.classes),
-                       AssignmentModel.constant(args.q),
-                       WorkerModel.hds(accuracies, args.classes),
-                       seed=args.seed)
-    out = simulate_dataset(config)
-    labels = out.labels
     _write_csv(args.out_labels, "worker,item,label", "w{},i{},{}",
                labels.workers, labels.items, label_set.to_external(labels.labels))
     if args.out_truth:
         _write_csv(args.out_truth, "item,label", "i{},{}",
-                   range(len(out.truth)), label_set.to_external(out.truth))
+                   range(len(truth)), label_set.to_external(truth))
     print(json.dumps({"workers": args.workers, "items": args.items,
-                      "labels": out.labels.num_labels,
+                      "labels": labels.num_labels,
                       "mean_accuracy": float(accuracies.mean())}))
     return 0
 
@@ -275,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--target-mean", type=float, default=None,
                      help="mean accuracy T; moves a to b T / (1 - T)")
     sim.add_argument("--tol", type=float, default=0.01)
-    sim.add_argument("--accuracies", default=None,
+    sim.add_argument("--accuracies", type=_numbers, default=None,
                      help="comma-separated per-worker accuracies "
                           "(overrides the beta sampler)")
     sim.add_argument("--seed", type=_seed, default=0)
@@ -328,8 +324,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, OSError, KeyError, json.JSONDecodeError,
-            MemoryError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

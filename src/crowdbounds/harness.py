@@ -383,12 +383,19 @@ def load_truth(path, label_set: LabelSet,
     return labels[at], labels.size - len(item_ids)
 
 
+def _check_subsample(L: int, binary: bool, keep_prob: float) -> None:
+    """Raise as a dataset trial with these values would before it reads
+    the labels: the label set, then the :func:`subsample_labels` rate."""
+    LabelSet(L, binary)
+    if not 0 <= keep_prob <= 1:
+        raise DomainError("keep probability must lie in [0, 1]")
+
+
 def subsample_labels(labels: LabelMatrix, keep_prob: float,
                      seed: int = 0) -> LabelMatrix:
     """Keep every observed label independently with the given probability,
     by one uniform per label in the order of the triples."""
-    if not 0 <= keep_prob <= 1:
-        raise DomainError("keep probability must lie in [0, 1]")
+    _check_subsample(labels.num_classes, False, keep_prob)
     keep = derive_rng(seed, "subsample").random(labels.num_labels) < keep_prob
     return LabelMatrix(labels.workers[keep], labels.items[keep],
                        labels.labels[keep], labels.num_workers,
@@ -498,9 +505,6 @@ CONFIG_KEYS = {
         "truth": ("string", None), "L": ("whole number", 2),
         "binary": ("boolean", False)}),
 }
-# The sweep variables each scenario reads ("none": the grid only repeats).
-_SWEEP_VARIABLES = {"hds-sweep": ("wbar", "M", "N", "q", "none"),
-                    "misspecified": ("none",), "dataset": ("s",)}
 
 
 def check_json(name: str, value, kind: str, keys: dict | None = None,
@@ -633,23 +637,33 @@ METHODS = {
 KNOWN_METHODS = tuple(METHODS)
 
 
-# Valid values of the keys of each section that a trial reads, in the
-# order that _check_keys checks them.
+# Valid values of the keys of each section that a trial reads (and of a
+# dataset's rate s), in the order that _check_keys checks them.
 _STAND_INS = {
     "sim": {"M": 1, "N": 1, "L": 2, "q": 1.0, "beta_tol": 1.0, "wbar": 0.5,
             "beta_a": 1.0, "beta_b": 1.0},
     "misspec": {"M1": 1, "M2": 1, "N1": 1, "N2": 1,
                 "block": ((1.0, 1.0), (1.0, 1.0)), "q": 1.0},
-    "dataset": {"L": 2, "binary": False},
+    "dataset": {"L": 2, "binary": False, "s": 1.0},
 }
 
 
-def _check_hds_trial(M, N, L, q, tol, wbar, a, b) -> None:
-    """Raise as an hds-sweep trial with these sim values would, before it
-    draws: the sampler's Beta prior, then the models."""
-    check_beta_prior(M, a, b, wbar, tol)
-    model = WorkerModel.hds(np.full(M, 0.5), L)  # its L < 2 message first
+def _check_hds_trial(M, N, L, q, tol, wbar, a, b, accuracies=None) -> None:
+    """Raise as :func:`_hds_trial_data` would with these values, before it
+    draws: the Beta prior (unless accuracies are given), then the models."""
+    if accuracies is None:
+        check_beta_prior(M, a, b, wbar, tol)
+        accuracies = np.full(M, 0.5)
+    model = WorkerModel.hds(accuracies, L)  # its L < 2 message first
     SimConfig(M, N, L, Prior.uniform(L), AssignmentModel.constant(q), model)
+
+
+# Each scenario's section, the check of a trial's values in it, and the
+# sweep variables it reads ("none": the grid only repeats).
+_SCENARIOS = {"hds-sweep": ("sim", _check_hds_trial,
+                            ("wbar", "M", "N", "q", "none")),
+              "misspecified": ("misspec", check_misspecified, ("none",)),
+              "dataset": ("dataset", _check_subsample, ("s",))}
 
 
 def _check_keys(prefix: str, values: dict, stand_ins: dict, check) -> None:
@@ -679,6 +693,8 @@ class ExperimentConfig:
     rate s); any other sweep variable is rejected. Every value is checked
     against :data:`CONFIG_KEYS` here, and ``sim``, ``misspec`` and
     ``dataset`` are stored with every key, absent ones at their defaults.
+    Then each section is checked as a trial would check it before it
+    draws (:func:`_check_keys`): the scenario's own at each swept :meth:`point`.
     """
 
     scenario: str
@@ -707,7 +723,7 @@ class ExperimentConfig:
                       sweep_variable=sweep["variable"])
         for name, value in config.items():
             object.__setattr__(self, name, value)
-        if self.scenario not in _SWEEP_VARIABLES:
+        if self.scenario not in _SCENARIOS:
             raise DomainError(f"unknown scenario {self.scenario!r}")
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
@@ -721,27 +737,25 @@ class ExperimentConfig:
             raise DomainError(f"unknown methods: {unknown}")
         if not self.sweep_grid:
             raise DomainError("the sweep grid must not be empty")
-        if self.sweep_variable not in _SWEEP_VARIABLES[self.scenario]:
+        own, _, variables = _SCENARIOS[self.scenario]
+        if self.sweep_variable not in variables:
             raise DomainError(f"the {self.scenario!r} scenario cannot sweep "
                               f"{self.sweep_variable!r}")
         if self.fixed_iterations is not None and self.fixed_iterations < 1:
             raise DomainError("fixed_iterations must be a positive integer")
-        wbars = self.sweep_grid if self.sweep_variable == "wbar" else ()
-        for wbar in (*wbars, self.sim["wbar"]):
-            if wbar is not None and not 0 < wbar < 1:
-                raise DomainError(f"wbar must lie in (0, 1), got {wbar!r}")
-        for wbar in wbars:  # each moves beta_a to beta_b * wbar / (1 - wbar)
-            _check_keys("sim.", {"beta_b": self.sim["beta_b"]}, {"beta_b": 1.0},
-                        partial(check_beta_prior, 1, 1.0, target_mean=wbar,
-                                tol=1.0))
         if self.scenario == "dataset" and self.dataset["path"] is None:
             raise DomainError("the 'dataset' scenario needs dataset.path")
-        section, check = {"hds-sweep": ("sim", _check_hds_trial),
-                          "misspecified": ("misspec", check_misspecified),
-                          "dataset": ("dataset", LabelSet)}[self.scenario]
-        given = {key: value for key, value in getattr(self, section).items()
-                 if key != self.sweep_variable}  # a swept key keeps its stand-in
-        _check_keys(f"{section}.", given, _STAND_INS[section], check)
+        for section, check, _ in _SCENARIOS.values():
+            swept = section == own and self.sweep_variable != "none"
+            for point in (map(self.point, self.sweep_grid) if swept
+                          else [getattr(self, section)]):
+                _check_keys(f"{section}.", point, _STAND_INS[section], check)
+
+    def point(self, sweep_value) -> dict:
+        """The values a trial at ``sweep_value`` reads: the scenario's
+        section with the swept key (``s`` for a dataset) at that value."""
+        section = getattr(self, _SCENARIOS[self.scenario][0])
+        return {**section, self.sweep_variable: sweep_value}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -756,42 +770,35 @@ class ExperimentConfig:
             return cls.from_dict(json.load(handle))
 
 
-def _hds_trial_data(config: ExperimentConfig, sweep_value, seed: int):
-    """Simulate one trial of an hds-sweep scenario: labels, truth, the true
-    accuracies and the label probability q."""
-    sim = {**config.sim, config.sweep_variable: sweep_value}  # "none": unread
+def _hds_trial_data(sim: dict, seed: int, accuracies=None):
+    """One hds-sweep trial at a sweep point's ``sim`` values: labels, truth,
+    the accuracies (given or the Beta sampler's) and label probability q."""
     M, N, L, q = sim["M"], sim["N"], sim["L"], sim["q"]
-    accuracies = sample_workers_beta(M, sim["beta_a"], sim["beta_b"],
-                                     sim["wbar"], tol=sim["beta_tol"], seed=seed)
-    model = WorkerModel.hds(accuracies, L)
-    sim_config = SimConfig(M, N, L, Prior.uniform(L),
-                           AssignmentModel.constant(q), model, seed=seed)
-    out = simulate_dataset(sim_config)
+    if accuracies is None:
+        accuracies = sample_workers_beta(M, sim["beta_a"], sim["beta_b"],
+                                         sim["wbar"], sim["beta_tol"], seed)
+    out = simulate_dataset(SimConfig(M, N, L, Prior.uniform(L),
+                                     AssignmentModel.constant(q),
+                                     WorkerModel.hds(accuracies, L), seed=seed))
     return out.labels, out.truth, accuracies, q
 
 
-def _misspec_trial_data(config: ExperimentConfig, seed: int):
-    spec = config.misspec
-    out = make_misspecified_dataset(spec["M1"], spec["M2"], spec["N1"],
-                                    spec["N2"], spec["block"], spec["q"], seed)
-    return out.labels, out.truth, None, None
-
-
-def _trial_data(config: ExperimentConfig, sweep_index: int, sweep_value,
+def _trial_data(config: ExperimentConfig, sweep_index: int, point: dict,
                 trial: int, dataset):
-    """One trial's labels, truth, true accuracies and label probability q;
-    ``dataset`` is the loaded (labels, truth) of the dataset scenario and
-    None otherwise."""
+    """One trial's labels, truth, true accuracies and label probability q at
+    a sweep ``point``; ``dataset`` is a dataset scenario's (labels, truth)."""
     # The misspecified scenario ignores the sweep: each trial has one dataset.
     sweep_key = 0 if config.scenario == "misspecified" else sweep_index
     seed = int(derive_rng(config.master_seed, "trial-seed", sweep_key, trial)
                .integers(0, 2 ** 62))
     if config.scenario == "hds-sweep":
-        return _hds_trial_data(config, sweep_value, seed)
+        return _hds_trial_data(point, seed)
     if config.scenario == "misspecified":
-        return _misspec_trial_data(config, seed)
+        out = make_misspecified_dataset(
+            *map(point.get, ("M1", "M2", "N1", "N2", "block", "q")), seed)
+        return out.labels, out.truth, None, None
     labels, truth = dataset
-    return subsample_labels(labels, sweep_value, seed=seed), truth, None, None
+    return subsample_labels(labels, point["s"], seed=seed), truth, None, None
 
 
 def _method_row(config: ExperimentConfig, name: str, sweep_value, trial: int,
@@ -842,8 +849,9 @@ def _run_group(config: ExperimentConfig, dataset, group) -> tuple[list, list]:
                   "stop_on_convergence": False}
     caught, rows = [], [[] for _ in group]  # each cell's rows
     with _recording(caught):
-        data = [_trial_data(config, sweep_index, config.sweep_grid[sweep_index],
-                            trial, dataset) for sweep_index, trial in group]
+        data = [_trial_data(config, sweep_index,
+                            config.point(config.sweep_grid[sweep_index]), trial,
+                            dataset) for sweep_index, trial in group]
         trials = [(labels, accuracies) for labels, _, accuracies, _ in data]
         for name in config.methods:
             started = time.perf_counter()
@@ -866,31 +874,27 @@ def _run_group(config: ExperimentConfig, dataset, group) -> tuple[list, list]:
 _GROUP_LABELS = 1 << 14
 
 
-def _expected_labels(config: ExperimentConfig, sweep_value, dataset) -> float:
-    """The expected label count of a trial at ``sweep_value``, a float
-    (infinite, or negative, where the sizes are ones the trial rejects)."""
+def _expected_labels(config: ExperimentConfig, point: dict, dataset) -> float:
+    """The expected label count of a trial at the sweep ``point``."""
     if config.scenario == "hds-sweep":
-        sim = {**config.sim, config.sweep_variable: sweep_value}
-        return float(sim["M"]) * sim["N"] * sim["q"]
+        return float(point["M"]) * point["N"] * point["q"]
     if config.scenario == "misspecified":
-        spec = config.misspec
-        return (float(spec["M1"] + spec["M2"]) * (spec["N1"] + spec["N2"])
-                * spec["q"])
-    return dataset[0].num_labels * sweep_value
+        return (float(point["M1"] + point["M2"]) * (point["N1"] + point["N2"])
+                * point["q"])
+    return dataset[0].num_labels * point["s"]
 
 
 def _cell_groups(config: ExperimentConfig, dataset) -> list[list]:
     """The (sweep index, trial) cells in row order, cut into groups of
     consecutive cells: a group grows while its cells' expected labels stay
-    within :data:`_GROUP_LABELS` (a NaN total, after a size of -inf, starts
-    a group), and with ``record_timing`` set, so that each row times its own
-    trial, every cell is a group."""
+    within :data:`_GROUP_LABELS`, and with ``record_timing`` set, so that
+    each row times its own trial, every cell is a group."""
     groups, total = [], math.inf
     for sweep_index, sweep_value in enumerate(config.sweep_grid):
-        size = _expected_labels(config, sweep_value, dataset)
+        size = _expected_labels(config, config.point(sweep_value), dataset)
         for trial in range(config.trials):
             total += size
-            if config.record_timing or not total <= _GROUP_LABELS:
+            if config.record_timing or total > _GROUP_LABELS:
                 groups.append([])
                 total = size
             groups[-1].append((sweep_index, trial))

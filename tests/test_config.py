@@ -246,7 +246,36 @@ def test_every_model_key_has_a_stand_in():
     assert set(_STAND_INS) == {"sim", "misspec", "dataset"}
     for section in ("sim", "misspec"):
         assert set(_STAND_INS[section]) == set(CONFIG_KEYS[section][2])
-    assert set(_STAND_INS["dataset"]) <= set(CONFIG_KEYS["dataset"][2])
+    # The dataset scenario's swept rate s is checked with its section.
+    assert set(_STAND_INS["dataset"]) <= {*CONFIG_KEYS["dataset"][2], "s"}
+
+
+@pytest.mark.parametrize("key, grid, message", [
+    ("N", [20, 0], "dimensions must be positive (and classes >= 2)"),
+    ("q", [0.5, 0], "assignment probabilities must lie in (0, 1]"),
+    ("wbar", [0.7, 1.2], "target mean must lie strictly inside (0, 1)")])
+def test_a_swept_value_the_models_reject_exits_1_and_names_the_key(
+        tmp_path, capsys, key, grid, message):
+    config = {**BASE, "sweep": {"variable": key, "grid": grid}}
+    assert experiment(tmp_path, config, capsys) == (
+        1, f"error: sim.{key}: {message}\n")
+
+
+def test_a_swept_rate_outside_the_unit_interval_exits_1_before_any_read(
+        tmp_path, capsys):
+    """The rate is named before the labels file, which does not exist, is
+    opened."""
+    config = {"scenario": "dataset", "methods": ["mv"],
+              "sweep": {"variable": "s", "grid": [0.5, 1.5]},
+              "dataset": {"path": str(tmp_path / "missing.csv")}}
+    assert experiment(tmp_path, config, capsys) == (
+        1, "error: dataset.s: keep probability must lie in [0, 1]\n")
+
+
+def test_a_section_the_scenario_does_not_read_is_checked(tmp_path, capsys):
+    config = {**BASE, "misspec": {"M1": 0}}
+    assert experiment(tmp_path, config, capsys) == (
+        1, "error: misspec.M1: group and set sizes must be positive\n")
 
 
 def test_a_sim_value_the_sweep_replaces_is_not_checked(tmp_path, capsys):

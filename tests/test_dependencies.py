@@ -1,6 +1,6 @@
-"""The runtime depends on numpy and the standard library only, importing
-the command line loads no process-pool machinery, and the sources keep
-their layout and their docstring references sound."""
+"""The runtime depends on numpy and the standard library only, the command
+line imports no sampler and loads no process-pool machinery, and the
+sources keep their layout and their docstring references sound."""
 
 import ast
 import importlib
@@ -59,6 +59,17 @@ def test_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_the_cli_draws_through_the_harness_only():
+    """``simulate`` draws through the harness's one hds-sweep trial, so the
+    command line imports none of the samplers or their config."""
+    path = SRC / "crowdbounds" / "cli.py"
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    drawing = {"simulate_dataset", "sample_workers_beta", "SimConfig"}
+    assert not imported & drawing, imported & drawing
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -560,15 +560,9 @@ class TestCellPool:
         assert multiprocessing.active_children() == []
 
     def test_the_earliest_failing_trial_raises(self, tmp_path, monkeypatch):
-        config = small_sweep_config(sweep_variable="q",
-                                    sweep_grid=(0.3, 1.5, -0.2))
-        errors = []
-        for workers in (1, 3):
-            with pytest.raises(DomainError) as caught:
-                run_on(workers, config, monkeypatch)
-            errors.append(caught.value)
-            assert multiprocessing.active_children() == []
-        assert str(errors[0]) == str(errors[1])
+        # A swept q out of range is rejected when the config is built.
+        with pytest.raises(DomainError, match=r"^sim\.q: assignment"):
+            small_sweep_config(sweep_variable="q", sweep_grid=(0.3, 1.5, -0.2))
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "scenario": "hds-sweep", "methods": ["mv"], "trials": 2,
@@ -577,20 +571,28 @@ class TestCellPool:
         assert main(["experiment", "--config", str(path)]) == 1
         assert multiprocessing.active_children() == []
 
-        # The error is the earliest trial's in row order, though a later
-        # trial failed first in time. Timed rows put each trial in a pool
-        # task of its own.
+        # The error is the earliest trial's in row order, serial or pooled,
+        # though a later trial failed first in time. Timed rows put each
+        # trial in a pool task of its own.
         trial_data = harness._trial_data
 
-        def failing(config, sweep_index, sweep_value, trial, dataset):
+        def failing(config, sweep_index, point, trial, dataset):
             if sweep_index == 1:
                 time.sleep(0.3)
                 raise DomainError("the earlier trial")
             if sweep_index == 2:
                 raise ValueError("the later trial")
-            return trial_data(config, sweep_index, sweep_value, trial, dataset)
+            return trial_data(config, sweep_index, point, trial, dataset)
 
         monkeypatch.setattr(harness, "_trial_data", failing)
+        config = small_sweep_config(sweep_grid=(0.6, 0.7, 0.8))
+        errors = []
+        for workers in (1, 3):
+            with pytest.raises(DomainError) as caught:
+                run_on(workers, config, monkeypatch)
+            errors.append(caught.value)
+            assert multiprocessing.active_children() == []
+        assert str(errors[0]) == str(errors[1])
         with pytest.raises(DomainError, match="the earlier trial"):
             run_on(3, small_sweep_config(sweep_grid=(0.6, 0.7, 0.8), trials=1,
                                          record_timing=True), monkeypatch)

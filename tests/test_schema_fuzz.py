@@ -13,7 +13,11 @@ bounds counts, which size no array, get huge values. Invariants:
 * every result row has an ``error`` or an ``error_rate`` in [0, 1] (or
   none, where a dataset has no truth);
 * on exit 1 for a value of the wrong kind, a ``sim`` value out of its
-  range or a bounds count out of its range, the message names the key.
+  range, an ``hds-sweep`` grid value out of the swept key's range or a
+  bounds count out of its range, the message names the key.
+
+An ``hds-sweep`` config whose sweep is changed sweeps one of ``wbar``,
+``M``, ``N`` and ``q``, and its grid values are capped as the key is.
 """
 
 import contextlib
@@ -63,6 +67,8 @@ VALID_CONFIGS = [
                  "truth": str(GOLDEN / "triples_truth.csv"), "L": 2,
                  "binary": True}},
 ]
+# The valid grid value of each key an hds-sweep config may sweep.
+SWEPT = {"wbar": 0.7, "M": 5, "N": 20, "q": 0.5}
 # Where each sim value lies in range.
 SIM_RANGES = {"M": lambda v: v >= 1, "N": lambda v: v >= 1,
               "L": lambda v: v >= 2, "q": lambda v: 0 < v <= 1,
@@ -96,6 +102,14 @@ def changed(valid, extra=()):
     leaves = [changed(v) if isinstance(v, (list, tuple))
               else st.sampled_from((v, *NUMBERS)) for v in valid]
     return values | st.tuples(*leaves).map(list)
+
+
+def within(value, cap) -> bool:
+    """Whether no number in ``value``, or in the list ``value``, exceeds
+    ``cap``."""
+    if isinstance(value, list):
+        return all(within(v, cap) for v in value)
+    return not of_kind("number", value) or value <= cap
 
 
 def run(argv):
@@ -155,11 +169,15 @@ def test_experiment_configs_exit_0_or_1_with_checked_rows(data, monkeypatch):
     monkeypatch.setattr(harness, "_cell_workers", lambda num_tasks: 1)
     config = json.loads(json.dumps(data.draw(st.sampled_from(VALID_CONFIGS))))
     section, key, (kind, default) = data.draw(st.sampled_from(CONFIG_TARGETS))
+    hds = config["scenario"] == "hds-sweep"
+    if section == "sweep" and hds:
+        swept = data.draw(st.sampled_from(sorted(SWEPT)))
+        config["sweep"] = {"variable": swept, "grid": [SWEPT[swept]]}
+    swept = config.get("sweep", {}).get("variable")
     place = config.setdefault(section, {}) if section else config
     valid = place.get(key, None if default is REQUIRED else default)
-    value = data.draw(changed(valid).filter(
-        lambda v: key not in SIZES or not of_kind("number", v)
-        or v <= SIZES[key]))
+    cap = SIZES.get(swept if key == "grid" else key, math.inf)
+    value = data.draw(changed(valid).filter(lambda v: within(v, cap)))
     place[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -177,7 +195,11 @@ def test_experiment_configs_exit_0_or_1_with_checked_rows(data, monkeypatch):
             else 0 <= row["error_rate"] <= 1), row
     wrong_kind = not of_kind(kind, value) and not (
         value is None and default is None)
-    out_of_range = (section == "sim" and config["scenario"] == "hds-sweep"
-                    and of_kind(kind, value) and not SIM_RANGES[key](value))
+    out_of_range = (section == "sim" and hds and of_kind(kind, value)
+                    and not SIM_RANGES[key](value))
     if code == 1 and (wrong_kind or out_of_range):
         assert names(err, key), (section, key, value, err)
+    if code == 1 and key == "grid" and hds and isinstance(value, list) and any(
+            of_kind(CONFIG_KEYS["sim"][2][swept][0], v)
+            and not SIM_RANGES[swept](v) for v in value):
+        assert names(err, swept), (swept, value, err)

@@ -279,6 +279,7 @@ def test_nan_model_values_are_out_of_range(make):
     (["--workers", "0"], "at least one worker"),
     # A given target moves a to b * 0.7 / 0.3, here past the largest float.
     (["--beta-b", "1e308", "--target-mean", "0.7"], "beta shape parameters"),
+    (["--binary", "--classes", "3"], "the +/-1 convention"),
 ])
 def test_simulate_rejects_nan_options_at_once(tmp_path, capsys, options,
                                               quantity):
@@ -289,6 +290,15 @@ def test_simulate_rejects_nan_options_at_once(tmp_path, capsys, options,
     assert code == 1 and err.startswith(f"error: {options[0]}: "), err
     assert quantity in err, err
     assert not out.exists()
+
+
+def test_simulate_names_accuracies_that_are_not_numbers(tmp_path, capsys):
+    out = tmp_path / "labels.csv"
+    code = main(["simulate", "--workers", "3", "--items", "4", "--accuracies",
+                 "abc,0.5,0.6", "--out-labels", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: argument --accuracies: "), err
+    assert "'abc,0.5,0.6'" in err and not out.exists()
 
 
 def test_samplers_hold_one_block_of_uniforms():
@@ -359,7 +369,7 @@ def test_a_tiny_q_draws_no_label(tmp_path, q):
     # The sim checks' stand-in accuracies, and the sampler's batch.
     ('"sweep": {"variable": "wbar", "grid": [0.7]}, "sim": {"M": 1e15}',
      "sim.M: "),
-    ('"sweep": {"variable": "M", "grid": [1e15]}, "sim": {}', ""),
+    ('"sweep": {"variable": "M", "grid": [1e15]}, "sim": {}', "sim.M: "),
     (None, "--workers: ")], ids=["sim.M", "swept M", "simulate --workers"])
 def test_a_size_no_machine_holds_exits_1(tmp_path, experiment, key):
     """A numpy array of 10^15 floats (7.11 PiB) fails to allocate, which is
