@@ -74,7 +74,7 @@ def _write_csv(path, header: str, row: str, *columns):
     written :data:`_WRITE_ROWS` at a time, so beyond its columns the writer
     holds one chunk's lists and text."""
     line = (row + "\r\n").format
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(header + "\r\n")
         for start in range(0, len(columns[0]), _WRITE_ROWS):
             chunk = (column[start:start + _WRITE_ROWS] for column in columns)
@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, KeyError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -36,9 +36,10 @@ class EmConfig:
     """Stopping rule and initialization for a fit.
 
     ``init`` is either the string "majority-vote" (hard labels turned into
-    one-hot posteriors) or an (N, L) array of starting posteriors. Clearing
-    ``stop_on_convergence`` forces exactly ``max_iters`` iterations, which
-    keeps timing comparisons honest.
+    one-hot posteriors) or an (N, L) array of starting posteriors, whose
+    rows are checked here and whose shape :func:`em_fit_many` checks
+    against each matrix. Clearing ``stop_on_convergence`` forces exactly
+    ``max_iters`` iterations, which keeps timing comparisons honest.
     """
 
     model_kind: str = "hds"
@@ -54,6 +55,16 @@ class EmConfig:
             raise DomainError("tolerance must be positive")
         if self.max_iters < 1:
             raise DomainError("at least one iteration is required")
+        if isinstance(self.init, str):
+            if self.init != "majority-vote":
+                raise DomainError(f"unknown initialization {self.init!r}")
+            return
+        rho = np.asarray(self.init, dtype=float)
+        if rho.ndim != 2:
+            raise DimensionMismatch("initial posteriors must be (items, classes)")
+        if (not np.isfinite(rho).all() or (rho < 0).any()
+                or (np.abs(rho.sum(axis=1) - 1.0) > 1e-9).any()):
+            raise DomainError("initial posteriors must be probability rows")
 
 
 @dataclass(frozen=True)
@@ -64,20 +75,6 @@ class EmResult:
     log_likelihood_trace: np.ndarray
     iterations: int
     converged: bool
-
-
-def _check_init(labels: LabelMatrix, config: EmConfig) -> None:
-    """Raise unless ``config.init`` can start a fit of ``labels``."""
-    if isinstance(config.init, str):
-        if config.init != "majority-vote":
-            raise DomainError(f"unknown initialization {config.init!r}")
-        return
-    rho = np.asarray(config.init, dtype=float)
-    if rho.shape != (labels.num_items, labels.num_classes):
-        raise DimensionMismatch("initial posteriors must be (items, classes)")
-    if (not np.isfinite(rho).all() or rho.min() < 0
-            or np.abs(rho.sum(axis=1) - 1.0).max() > 1e-9):
-        raise DomainError("initial posteriors must be probability rows")
 
 
 def _confusion_tables(sums: np.ndarray) -> np.ndarray:
@@ -122,8 +119,8 @@ class _Stack:
     def initial_posteriors(self, config: EmConfig) -> np.ndarray:
         """Every stacked item's starting row: its majority vote as a
         one-hot row (one vote over the stack, which counts each item's
-        labels as its trial's own matrix does), or ``config.init``, checked
-        by :func:`_check_init`, once per trial."""
+        labels as its trial's own matrix does), or ``config.init`` once per
+        trial, whose shape :func:`em_fit_many` checked against each."""
         if not isinstance(config.init, str):
             return np.tile(np.asarray(config.init, dtype=float),
                            (self.sizes.size, 1))
@@ -184,11 +181,12 @@ class _Stack:
 def em_fit_many(matrices, config: EmConfig = EmConfig()) -> list:
     """Fit every label matrix of ``matrices`` under ``config``.
 
-    Entry ``t`` of the result is matrix ``t``'s :class:`EmResult`, or the
-    exception its fit raised (a bad ``init`` for its shape, say); the other
-    fits go on. The fits run together, one M-step and one E-step per
-    iteration for all of them on the matrices stacked block-diagonally, and
-    each gives the bits it gives when fitted on its own. A fit stops when
+    Entry ``t`` of the result is matrix ``t``'s :class:`EmResult`. Before
+    the first step, the call raises unless the matrices share one class
+    count and an array ``config.init`` has every matrix's (items, classes)
+    shape. The fits run together, one M-step and one E-step per iteration
+    for all of them on the matrices stacked block-diagonally, and each
+    gives the bits it gives when fitted on its own. A fit stops when
     the relative log-likelihood change drops below ``config.tolerance``
     (``converged``) or at ``config.max_iters``. A stopped fit keeps its
     place in the stack until fewer than three quarters of the stack are
@@ -198,17 +196,13 @@ def em_fit_many(matrices, config: EmConfig = EmConfig()) -> list:
     matrices = list(matrices)
     if len({labels.num_classes for labels in matrices}) > 1:
         raise DimensionMismatch("the matrices of one fit differ in classes")
+    if not isinstance(config.init, str) and any(
+            np.shape(config.init) != (labels.num_items, labels.num_classes)
+            for labels in matrices):
+        raise DimensionMismatch("initial posteriors must be (items, classes)")
     outcomes: list = [None] * len(matrices)
-    live = []
-    for t, labels in enumerate(matrices):
-        try:
-            _check_init(labels, config)
-        except ValueError as exc:
-            outcomes[t] = exc
-        else:
-            live.append(t)
-    traces = {t: [] for t in live}
-    iterations, rows = 0, None
+    traces = [[] for _ in matrices]
+    live, iterations, rows = list(range(len(matrices))), 0, None
     while live:
         members = live
         stack = _Stack([matrices[t] for t in members])
@@ -236,13 +230,8 @@ def em_fit_many(matrices, config: EmConfig = EmConfig()) -> list:
             live = [t for t in members if outcomes[t] is None]
         rows = [rho[items] for items, t in zip(stack.item_slices, members)
                 if outcomes[t] is None]
-    for t, trace in traces.items():
-        try:
-            outcomes[t] = _result(matrices[t], config.model_kind, trace,
-                                  *outcomes[t])
-        except ValueError as exc:
-            outcomes[t] = exc
-    return outcomes
+    return [_result(labels, config.model_kind, trace, *outcome)
+            for labels, trace, outcome in zip(matrices, traces, outcomes)]
 
 
 def _result(labels: LabelMatrix, model_kind: str, trace: list, params,
@@ -256,13 +245,9 @@ def _result(labels: LabelMatrix, model_kind: str, trace: list, params,
 
 
 def em_fit(labels: LabelMatrix, config: EmConfig = EmConfig()) -> EmResult:
-    """Fit one label matrix: :func:`em_fit_many` of ``[labels]``, raising
-    what the fit raised. Running out of iterations is reported via the
-    ``converged`` flag, never as an error."""
-    result, = em_fit_many([labels], config)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    """Fit one label matrix, as :func:`em_fit_many` of ``[labels]``. Running
+    out of iterations shows in the ``converged`` flag, never as an error."""
+    return em_fit_many([labels], config)[0]
 
 
 def em_map_predict(result: EmResult) -> np.ndarray:

@@ -231,7 +231,8 @@ def _read_table(path, header: tuple, label_set: LabelSet):
     columns.append([np.empty(0, np.int64)])
     width = len(header)  # a grid's is its first row's
     error, lines_read = None, 0
-    with open(path) as handle:  # universal newlines: CRLF and CR read as LF
+    # Universal newlines: CRLF and CR read as LF.
+    with open(path, encoding="utf-8") as handle:
         for text in _line_blocks(handle):
             # Where each line ends, and its commas and quotes, on the bytes.
             raw = text.encode()
@@ -569,8 +570,7 @@ def _per_trial(run, trials, limits):
 
 def _run_em(trials, limits, model_kind):
     """One EM fit of all the trials' labels (:func:`em_fit_many`)."""
-    return [fit if isinstance(fit, Exception)
-            else (em_map_predict(fit), fit.iterations)
+    return [(em_map_predict(fit), fit.iterations)
             for fit in em_fit_many([labels for labels, _ in trials],
                                    EmConfig(model_kind=model_kind, **limits))]
 
@@ -766,7 +766,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
 
 
@@ -1016,7 +1016,7 @@ def write_results(rows: list[ResultRow], stem: str) -> tuple[str, str]:
     """
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     csv_path, jsonl_path = f"{stem}.csv", f"{stem}.jsonl"
-    with open(csv_path, "w", newline="") as handle:
+    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
         handle.write(f"# generated_at={stamp}\n")
         writer = csv.writer(handle)
         writer.writerow(RESULT_COLUMNS)
@@ -1024,7 +1024,7 @@ def write_results(rows: list[ResultRow], stem: str) -> tuple[str, str]:
         for row in rows:
             writer.writerow([str(value).lower() if isinstance(value, bool)
                              else value for value in row.to_dict().values()])
-    with open(jsonl_path, "w") as handle:
+    with open(jsonl_path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps({"_meta": {"generated_at": stamp}}) + "\n")
         for row in rows:
             handle.write(json.dumps(row.to_dict()) + "\n")

@@ -61,6 +61,24 @@ def test_modules_use_every_name_they_import():
     assert not unused, unused
 
 
+def test_every_open_names_its_encoding_or_is_binary():
+    """Each ``open(...)`` in the sources passes ``encoding=`` or opens in a
+    binary mode, so no file's text depends on the locale."""
+    unnamed = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if "encoding" not in keywords and not binary:
+                unnamed.append(f"{path.name}:{node.lineno}")
+    assert not unnamed, unnamed
+
+
 def test_the_cli_draws_through_the_harness_only():
     """``simulate`` draws through the harness's one hds-sweep trial, so the
     command line imports none of the samplers or their config."""

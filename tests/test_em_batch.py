@@ -11,8 +11,8 @@ import re
 import numpy as np
 import pytest
 
-from crowdbounds.core import DimensionMismatch, LabelMatrix
-from crowdbounds.em import EmConfig, em_fit, em_fit_many
+from crowdbounds.core import DimensionMismatch, DomainError, LabelMatrix
+from crowdbounds.em import EmConfig, _Stack, em_fit, em_fit_many
 
 
 def random_matrix(rng, L, shape=None):
@@ -65,17 +65,36 @@ def test_a_large_batch_of_one_shape_rebuilds_as_fits_stop():
             assert_same_fit(got, em_fit(labels, config))
 
 
-def test_a_failing_fit_leaves_the_others():
+def test_an_init_that_misfits_one_matrix_raises_before_any_step(monkeypatch):
     rng = np.random.default_rng(8)
     matrices = [random_matrix(rng, 3, (12, N)) for N in (20, 20, 25, 20)]
     init = rng.dirichlet(np.ones(3), 20)
     config = EmConfig("gds", init=init)
-    fits = em_fit_many(matrices, config)
-    assert isinstance(fits[2], DimensionMismatch)
-    with pytest.raises(DimensionMismatch, match=re.escape(str(fits[2]))):
+    with pytest.raises(DimensionMismatch) as alone:
         em_fit(matrices[2], config)
-    for t in (0, 1, 3):
-        assert_same_fit(fits[t], em_fit(matrices[t], config))
+    steps = []
+    with monkeypatch.context() as patch:
+        patch.setattr(_Stack, "step", lambda *args: steps.append(args))
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(str(alone.value))):
+            em_fit_many(matrices, config)
+    assert not steps
+    others = [matrices[t] for t in (0, 1, 3)]
+    for got, labels in zip(em_fit_many(others, config), others):
+        assert_same_fit(got, em_fit(labels, config))
     assert em_fit_many([], config) == []
     with pytest.raises(DimensionMismatch):
         em_fit_many([matrices[0], random_matrix(rng, 2)], config)
+
+
+@pytest.mark.parametrize("init, error, message", [
+    ("uniform", DomainError, "unknown initialization 'uniform'"),
+    (np.full(3, 1 / 3), DimensionMismatch,
+     re.escape("initial posteriors must be (items, classes)")),
+    ([[0.5, 0.5], [1.5, -0.5]], DomainError, "must be probability rows"),
+    ([[0.5, 0.5], [0.5, 0.6]], DomainError, "must be probability rows"),
+    ([[0.5, 0.5], [np.nan, 0.5]], DomainError, "must be probability rows"),
+])
+def test_a_bad_init_raises_when_the_config_is_made(init, error, message):
+    with pytest.raises(error, match=message):
+        EmConfig("hds", init=init)

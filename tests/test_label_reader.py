@@ -15,11 +15,16 @@ matrix and ids, or the same error and message. Quotes are the one
 """
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crowdbounds
 from crowdbounds.core import DomainError, EmptyMatrix, LabelMatrix, LabelSet
 from crowdbounds.harness import (DuplicateLabel, ParseError, UnknownLabel,
                                  load_labels, load_truth)
@@ -471,3 +476,28 @@ def test_a_lone_carriage_return_ends_a_line(tmp_path):
     cr.write_text("worker,item,label\rw1,i1,1\r\rw2,i1,3\r", newline="")
     with pytest.raises(UnknownLabel, match="^line 4: label 3 "):
         load_labels(cr, label_set=LabelSet(2))
+
+
+def test_text_files_are_utf_8_whatever_the_locale(tmp_path):
+    """Labels, truth and predictions are UTF-8 files: under the C locale
+    with Python's UTF-8 mode off, ``aggregate`` reads non-ASCII ids and
+    writes the bytes that a UTF-8 run writes."""
+    labels, truth = tmp_path / "u.csv", tmp_path / "truth.csv"
+    labels.write_bytes("worker,item,label\nwé,ié,1\nw2,ié,1\nwé,i2,2\n"
+                       .encode())
+    truth.write_bytes("item,label\nié,1\ni2,2\n".encode())
+    src = str(Path(crowdbounds.__file__).resolve().parents[1])
+    outputs = []
+    for locale in ({"LC_ALL": "C", "PYTHONUTF8": "0",
+                    "PYTHONCOERCECLOCALE": "0"},
+                   {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}):
+        out = tmp_path / f"out{len(outputs)}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "crowdbounds.cli", "aggregate", "--in",
+             str(labels), "--truth", str(truth), "--method", "mv", "--out",
+             str(out)], capture_output=True, text=True, timeout=60,
+            env={**os.environ, **locale, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert '"error_rate": 0.0' in done.stdout
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == "item,label\r\nié,1\r\ni2,2\r\n".encode()
